@@ -325,13 +325,6 @@ class AlgebraPresentation:
                 )
         return out
 
-    def in_window(self, gen, window):
-        if gen.degree is None:
-            return True
-        if not self.in_domain(gen):
-            return False
-        return window.contains(gen.degree)
-
     # -- evaluation -------------------------------------------------------
 
     def _coeff(self, expr, m, n):
@@ -440,11 +433,6 @@ class AlgebraPresentation:
                 else:
                     acc[g] = c0
         return Vector._raw(acc)
-
-    def alpha_power(self, x, k):
-        for _ in range(k):
-            x = self.alpha(x)
-        return x
 
     def parity_of(self, family):
         return self.families[family].parity

@@ -30,6 +30,10 @@ class NonQuadraticConstraint(ValueError):
     pass
 
 
+class UnknownMap(KeyError):
+    pass
+
+
 # -- the named maps ---------------------------------------------------------
 
 
@@ -67,7 +71,7 @@ def known_map(name, p):
     try:
         return KNOWN_MAPS[name](p)
     except KeyError:
-        raise KeyError(f"unknown named map {name!r}") from None
+        raise UnknownMap(f"unknown named map {name!r}") from None
 
 
 # -- decomposition -----------------------------------------------------------

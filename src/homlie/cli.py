@@ -15,14 +15,14 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import BUILTIN_NAMES, PresentationError, Vector, Window, builtin
+from .algebra import BUILTIN_NAMES, PresentationError, UnknownGenerator, Vector, Window, builtin
 from .checker import (
     ClassModeMismatch,
     check_axioms,
     check_bilinear_class,
     check_multiplicative,
 )
-from .classify import corollary_check, decompose, known_map, solve_commuting_maps
+from .classify import UnknownMap, corollary_check, decompose, known_map, solve_commuting_maps
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
 from .solver import build_ansatz, build_system, nullspace_dim_specialized, stable_solve
@@ -64,6 +64,12 @@ def _parse_range(text):
     return (lo, hi)
 
 
+def _nonnegative_int(text):
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_rational(text):
     try:
         value = Fraction(text)
@@ -97,6 +103,10 @@ class _Parser(argparse.ArgumentParser):
         # let option values like -6..6 or -1/2 through the option detector
         self._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+|/\d+)?$")
 
+    def error(self, message):
+        # one line on stderr; --help shows the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
 
 def build_parser():
     ap = _Parser(
@@ -123,8 +133,9 @@ def build_parser():
                      choices=sorted(BILINEAR_FLAGS) + sorted(LINEAR_FLAGS))
     sub.add_argument("--degree", type=int, default=0, help="degree shift s")
     sub.add_argument("--parity", type=int, choices=(0, 1), default=0)
-    sub.add_argument("--delta", type=int, default=2, help="window enlargement")
-    sub.add_argument("--k", type=int, default=1, help="twist power for alpha-derivation")
+    sub.add_argument("--delta", type=_nonnegative_int, default=2, help="window enlargement")
+    sub.add_argument("--k", type=_nonnegative_int, default=1,
+                     help="twist power for alpha-derivation")
     sub.add_argument("--specialize-q", type=_parse_rational, default=None,
                      help="also report the window dimension at this rational q")
 
@@ -133,27 +144,27 @@ def build_parser():
     sub.add_argument("--class", dest="cls", required=True, choices=sorted(BILINEAR_FLAGS))
     sub.add_argument("--degree", type=int, default=0)
     sub.add_argument("--parity", type=int, choices=(0, 1), default=0)
-    sub.add_argument("--delta", type=int, default=2)
+    sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--knowns", default=None,
                      help="comma-separated named maps (default: a sensible set)")
 
     sub = sp.add_parser("commuting-maps", help="classify linear commuting maps")
     _common(sub)
     sub.add_argument("--parity", choices=("0", "1", "both"), default="both")
-    sub.add_argument("--delta", type=int, default=2)
+    sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--degree-range", type=_parse_range, default=(-4, 4))
 
     sub = sp.add_parser("corollaries",
                         help="which commuting maps are automorphisms/derivations")
     _common(sub)
     sub.add_argument("--parity", choices=("0", "1", "both"), default="both")
-    sub.add_argument("--delta", type=int, default=2)
+    sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--degree-range", type=_parse_range, default=(-4, 4))
 
     sub = sp.add_parser("reproduce-paper",
                         help="run the complete desk-scale verification suite")
     sub.add_argument("--window", type=_parse_window, default=Window(-6, 6))
-    sub.add_argument("--delta", type=int, default=2)
+    sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--degree-range", type=_parse_range, default=(-4, 4))
     sub.add_argument("--threads", type=int, default=None,
                      help="parallel workers (default: HOMLIE_THREADS or 2)")
@@ -282,9 +293,12 @@ def cmd_solve(args):
         p, kind, cls, s=args.degree, parity=args.parity,
         window=args.window, delta=args.delta, k=args.k,
     )
+    if space.raw_enlarged_dim is None:
+        enlarged = "enlarged not solved (window space is 0)"
+    else:
+        enlarged = f"enlarged {space.raw_enlarged_dim}"
     details = [
-        f"stable dim {space.dim} "
-        f"(raw window {space.raw_window_dim}, enlarged {space.raw_enlarged_dim})",
+        f"stable dim {space.dim} (raw window {space.raw_window_dim}, {enlarged})",
         "finite-window evidence only; not a proof over all degrees",
     ]
     result = {
@@ -314,10 +328,6 @@ def cmd_solve(args):
 def cmd_classify(args):
     p = _load_algebra(args.algebra)
     cls = BILINEAR_FLAGS[args.cls]
-    space = stable_solve(
-        p, "bilinear", cls, s=args.degree, parity=args.parity,
-        window=args.window, delta=args.delta,
-    )
     if args.knowns:
         names = [x.strip() for x in args.knowns.split(",") if x.strip()]
     else:
@@ -327,6 +337,10 @@ def cmd_classify(args):
         if p.name == "wittsuperq" and args.parity == 1:
             names = ["phi_minus1"]
     knowns = {name: known_map(name, p) for name in names}
+    space = stable_solve(
+        p, "bilinear", cls, s=args.degree, parity=args.parity,
+        window=args.window, delta=args.delta,
+    )
     result = {
         "name": f"{args.cls} degree {args.degree} parity {args.parity}",
         "dim": space.dim,
@@ -476,6 +490,12 @@ def main(argv=None):
     except (ParseError, PresentationError, ClassModeMismatch,
             ForbiddenSpecialization, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnknownMap as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except UnknownGenerator as exc:
+        print(f"error: unknown generator {exc}", file=sys.stderr)
         return 2
 
 

@@ -70,27 +70,8 @@ def m_add(a, b):
     return out
 
 
-def m_sub(a, b):
-    out = dict(a)
-    for g, c in b.items():
-        c0 = out.get(g)
-        if c0 is None:
-            out[g] = -c
-        else:
-            c0 = c0 - c
-            if c0.is_zero:
-                del out[g]
-            else:
-                out[g] = c0
-    return out
-
-
 def m_neg(a):
     return {g: -c for g, c in a.items()}
-
-
-def m_bracket(p, u, v):
-    return EvalContext(p, None, False).bracket(u, v)
 
 
 class EvalContext:

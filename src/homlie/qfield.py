@@ -478,9 +478,6 @@ class QRational:
     def __bool__(self):
         return bool(self.num)
 
-    def is_one(self):
-        return self.den is _P1 and self.num == _P1
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod

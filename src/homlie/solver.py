@@ -11,6 +11,8 @@ Window truncation leaves boundary unknowns under-constrained, so the raw
 window nullspace can exceed the true solution space.  `stable_solve` filters
 it by solving again on an enlarged window and keeping the restrictions, which
 is the finite stand-in for a solution defined on the whole graded algebra.
+When the window space is already 0 it returns at once: the restrictions must
+satisfy the window system, so they can only be zero.
 """
 
 from __future__ import annotations
@@ -236,14 +238,6 @@ class ConstraintSystem:
     @property
     def nunknowns(self):
         return len(self.ansatz.slots)
-
-    def row_by_provenance(self, eq_id, inputs):
-        """Rows generated by one identity instance, keyed by target generator."""
-        out = {}
-        for row, (eid, ins, gen) in zip(self.rows, self.provenance):
-            if eid == eq_id and ins == inputs:
-                out[gen] = row
-        return out
 
 
 def _generic_rows(p, ansatz):
@@ -1092,15 +1086,25 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     Solves both systems, restricts the enlarged solutions, verifies they
     satisfy the window system, and returns an independent basis of the
     restriction span (the intersection with the raw window space).
+
+    When the window space is 0 the enlarged system is not solved, and
+    `raw_enlarged_dim` is None: every restriction satisfies the window
+    system, so it is zero, and the stable space is 0 whatever the enlarged
+    space is.
     """
     if window is None:
         raise ValueError("a window is required")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     ansatz = build_ansatz(p, kind, cls, s=s, parity=parity, window=window, k=k)
     sys_small = build_system(p, ansatz)
     small = nullspace(sys_small)
     if p.is_scalar or delta == 0:
         small.raw_window_dim = small.dim
         small.raw_enlarged_dim = small.dim
+        return small
+    if small.dim == 0:
+        small.raw_window_dim = 0
         return small
     big_ansatz = build_ansatz(
         p, kind, cls, s=s, parity=parity, window=window.widen(delta), k=k

@@ -86,6 +86,11 @@ def test_w22q_commuting_family(w22q):
         assert check_linear_class(w22q, f, "commuting_map", WIN).passed
 
 
+def test_commuting_maps_reject_negative_delta(wittq):
+    with pytest.raises(ValueError, match="delta"):
+        solve_commuting_maps(wittq, 0, WIN, delta=-1, degree_range=RANGE)
+
+
 def test_wittq_commuting_family_is_scalar(wittq):
     fam = solve_commuting_maps(wittq, 0, WIN, delta=2, degree_range=RANGE)
     assert fam.dim == 1

@@ -60,7 +60,11 @@ def test_solve_alpha_class_dim_zero(capsys):
         "--degree", "0", "--window", "-3..3", "--delta", "1", "--output", "json",
     )
     assert code == 0
-    assert json.loads(out)["results"][0]["dim"] == 0
+    result = json.loads(out)["results"][0]
+    assert result["dim"] == 0
+    assert result["details"][0] == (
+        "stable dim 0 (raw window 0, enlarged not solved (window space is 0))"
+    )
 
 
 def test_solve_specialize_q(capsys):
@@ -138,6 +142,58 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["solve", "--algebra", "wittq"])  # missing --class
     assert err.value.code == 2
+
+
+def run_bad_input(capsys, *argv):
+    """Exit status and stderr lines of an input the CLI must reject."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--algebra", "wittq", "--class", "biderivation", "--window", "-2..2"),
+    ("classify", "--algebra", "wittq", "--class", "biderivation", "--window", "-2..2"),
+    ("commuting-maps", "--algebra", "wittq", "--window", "-2..2"),
+    ("corollaries", "--algebra", "wittq", "--window", "-2..2"),
+    ("reproduce-paper", "--window", "-2..2"),
+])
+def test_negative_delta_exits_two(capsys, argv):
+    code, err = run_bad_input(capsys, *argv, "--delta", "-3")
+    assert code == 2
+    assert len(err) == 1 and "--delta" in err[0]
+
+
+def test_negative_twist_power_exits_two(capsys):
+    code, err = run_bad_input(
+        capsys, "solve", "--algebra", "wittq", "--class", "alpha-derivation",
+        "--window", "-1..1", "--k", "-1",
+    )
+    assert code == 2
+    assert len(err) == 1 and "--k" in err[0]
+
+
+def test_unknown_named_map_exits_two(capsys):
+    code, err = run_bad_input(
+        capsys, "classify", "--algebra", "wittq", "--class", "biderivation",
+        "--window", "-1..1", "--knowns", "bogus",
+    )
+    assert code == 2
+    assert err == ["error: unknown named map 'bogus'"]
+
+
+def test_map_outside_the_algebra_exits_two(capsys):
+    # phi_0 takes values in the W family, which wittq does not have
+    code, err = run_bad_input(
+        capsys, "check-map", "--algebra", "wittq", "--map", "phi_0",
+        "--class", "biderivation", "--window", "-1..1",
+    )
+    assert code == 2
+    assert err == ["error: unknown generator 'W'"]
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from homlie import solver
 from homlie.algebra import Window, builtin
 from homlie.checker import check_bilinear_class, check_linear_class
 from homlie.classify import known_map
@@ -15,12 +16,25 @@ from homlie.solver import (
     nullspace,
     nullspace_dim_specialized,
     reduce_span,
+    restrict_space,
     span_rank,
     stable_solve,
 )
 
+Q0 = QRational(0)
 Q1 = QRational(1)
 SMALL = Window(-2, 2)
+
+# bilinear systems at SMALL; both vanishing and nonzero window spaces occur
+DIM_CASES = pytest.mark.parametrize("alg,cls,parity", [
+    ("w22q", "biderivation", 0),
+    ("w22q", "alpha_biderivation", 0),
+    ("wittq", "biderivation", 0),
+    ("wittsuperq", "super_biderivation", 0),
+    ("wittsuperq", "super_biderivation", 1),
+    ("wittsuperq", "alpha_super_biderivation", 1),
+])
+DIM_DEGREES = pytest.mark.parametrize("s", [-2, 0, 1])
 
 
 # -- ansatz shape ------------------------------------------------------------
@@ -103,15 +117,8 @@ def test_vanishing_case_matches_specialized_oracle(wittq):
     assert sol.dim == nullspace_dim_specialized(sys, 2) == 0
 
 
-@pytest.mark.parametrize("alg,cls,parity", [
-    ("w22q", "biderivation", 0),
-    ("w22q", "alpha_biderivation", 0),
-    ("wittq", "biderivation", 0),
-    ("wittsuperq", "super_biderivation", 0),
-    ("wittsuperq", "super_biderivation", 1),
-    ("wittsuperq", "alpha_super_biderivation", 1),
-])
-@pytest.mark.parametrize("s", [-2, 0, 1])
+@DIM_CASES
+@DIM_DEGREES
 def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
     p = builtin(alg)
     a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
@@ -140,6 +147,71 @@ def test_fast_rows_equal_generic_rows(alg, cls, parity, s):
 
 
 # -- stable solving ----------------------------------------------------------------
+
+
+def _two_window_stable_basis(p, cls, s, parity, window, delta):
+    """The stable filter done in full: solve both windows, restrict the
+    enlarged solutions, check each restriction against every window row,
+    and reduce.  Returns the restrictions and the canonical basis."""
+    small = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
+    big = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window.widen(delta))
+    rows = build_system(p, small).rows
+    restricted = [
+        {small.index[k]: v for k, v in vec.items()}
+        for vec in restrict_space(nullspace(build_system(p, big)), small)
+    ]
+    for idvec in restricted:
+        for row in rows:
+            acc = Q0
+            for j, c in row.items():
+                if j in idvec:
+                    acc = acc + c * idvec[j]
+            assert acc.is_zero
+    basis = [
+        solver._vec_canonical(small, {small.slots[j]: v for j, v in idvec.items()})
+        for idvec in reduce_span(restricted)
+    ]
+    return restricted, basis
+
+
+@DIM_CASES
+@DIM_DEGREES
+def test_stable_solve_equals_two_window_filter(alg, cls, parity, s):
+    p = builtin(alg)
+    restricted, basis = _two_window_stable_basis(p, cls, s, parity, SMALL, 2)
+    space = stable_solve(p, "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2)
+    assert space.dim == len(basis)
+    assert space.basis == basis
+    if space.raw_window_dim == 0:
+        assert space.raw_enlarged_dim is None
+        assert all(v.is_zero for vec in restricted for v in vec.values())
+    else:
+        assert space.raw_enlarged_dim is not None
+
+
+def test_vanishing_window_skips_enlarged_system(wittq, monkeypatch):
+    windows = []
+    build = solver.build_system
+
+    def counting_build_system(p, ansatz, *args, **kwargs):
+        windows.append(ansatz.window)
+        return build(p, ansatz, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_system", counting_build_system)
+    zero = stable_solve(
+        wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2
+    )
+    assert (zero.dim, zero.raw_window_dim, zero.raw_enlarged_dim) == (0, 0, None)
+    assert windows == [SMALL]
+    windows.clear()
+    one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    assert one.dim == 1 and one.raw_enlarged_dim is not None
+    assert windows == [SMALL, SMALL.widen(2)]
+
+
+def test_negative_delta_is_rejected(wittq):
+    with pytest.raises(ValueError, match="delta"):
+        stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=-3)
 
 
 def test_wittq_stable_space_is_inner(wittq):
