@@ -14,17 +14,16 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from . import coeffexpr as ce
-from .qfield import LaurentPoly, QRational
+from .qfield import _P1, QRational
 
 Q0 = QRational(0)
 Q1 = QRational(1)
-_PONE = LaurentPoly({0: 1})
 
 
 def _as_laurent(c):
     # constant-denominator field elements are Laurent polynomials in disguise
     den = c.den
-    if den == _PONE:
+    if den is _P1:
         return c.num
     if den.min_exp == 0 and den.max_exp == 0:
         return c.num.scale_div(den.coeff(0))
@@ -269,7 +268,7 @@ class AlgebraPresentation:
         exprs = [t.coeff for terms in self.brackets.values() for t in terms]
         exprs += [r.coeff for r in self.alphas.values()]
         self.fast_scalars = all(ce.is_laurent_valued(e) for e in exprs)
-        self.laurent_one = _PONE
+        self.laurent_one = _P1
 
     @property
     def is_super(self):

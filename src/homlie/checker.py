@@ -74,30 +74,42 @@ def check_multiplicative(p, window):
     return _collect(p, multiplicative_instances(p, window))
 
 
+# The wrappers evaluate the map at most once per argument within one check;
+# OutOfWindow is not cached, so it is raised again at every call.
+
+
 def _wrap_bilinear(phi, p, window):
     scalar = p.is_scalar
+    memo = {}
 
     def call(g1, g2):
-        if not scalar and not (window.contains(g1.degree) and window.contains(g2.degree)):
-            raise OutOfWindow
-        v = phi(g1, g2)
-        if v is None:
-            raise OutOfWindow
-        return v.terms
+        terms = memo.get((g1, g2))
+        if terms is None:
+            if not scalar and not (window.contains(g1.degree) and window.contains(g2.degree)):
+                raise OutOfWindow
+            v = phi(g1, g2)
+            if v is None:
+                raise OutOfWindow
+            terms = memo[g1, g2] = v.terms
+        return terms
 
     return call
 
 
 def _wrap_linear(f, p, window):
     scalar = p.is_scalar
+    memo = {}
 
     def call(g):
-        if not scalar and not window.contains(g.degree):
-            raise OutOfWindow
-        v = f(g)
-        if v is None:
-            raise OutOfWindow
-        return v.terms
+        terms = memo.get(g)
+        if terms is None:
+            if not scalar and not window.contains(g.degree):
+                raise OutOfWindow
+            v = f(g)
+            if v is None:
+                raise OutOfWindow
+            terms = memo[g] = v.terms
+        return terms
 
     return call
 

@@ -25,7 +25,7 @@ from .checker import (
 from .classify import UnknownMap, corollary_check, decompose, known_map, solve_commuting_maps
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
-from .solver import build_ansatz, build_system, nullspace_dim_specialized, stable_solve
+from .solver import nullspace_dim_specialized, stable_solve
 from .suite import AcceptanceSuite, SuiteConfig
 
 BILINEAR_FLAGS = {
@@ -118,7 +118,7 @@ def build_parser():
 
     sub = sp.add_parser("check-axioms", help="verify the algebra axioms on a window")
     _common(sub)
-    sub.add_argument("--samples", type=int, default=20,
+    sub.add_argument("--samples", type=_nonnegative_int, default=20,
                      help="random bilinearity spot checks (default 20)")
 
     sub = sp.add_parser("check-map", help="check a named map against a class")
@@ -308,12 +308,7 @@ def cmd_solve(args):
         "details": details,
     }
     if args.specialize_q is not None:
-        ansatz = build_ansatz(
-            p, kind, cls, s=args.degree, parity=args.parity,
-            window=args.window, k=args.k,
-        )
-        sysw = build_system(p, ansatz)
-        result["dim_specialized"] = nullspace_dim_specialized(sysw, args.specialize_q)
+        result["dim_specialized"] = nullspace_dim_specialized(space.system, args.specialize_q)
         details.append(
             f"window dim at q={args.specialize_q}: {result['dim_specialized']}"
         )

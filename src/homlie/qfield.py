@@ -6,6 +6,11 @@ comparisons.  The module also provides the two q-number families used by the
 q-deformed graded algebras (`qbracket` for the symmetric one, `qbrace` for the
 geometric one) and exact evaluation at rational points of q.
 
+The unit denominator is the single object `_P1`: every value whose
+denominator is 1 holds that object, so `__add__` and `__mul__` can test
+`den is _P1` and skip the polynomial gcd.  Callers of `QRational._trusted`
+must pass `_P1` itself, never another `LaurentPoly` equal to 1.
+
 Everything here is immutable and safe to share between threads.
 """
 
@@ -446,14 +451,16 @@ class QRational:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, value=0):
-        if isinstance(value, LaurentPoly):
+        if isinstance(value, int):
+            # an integer is already canonical over the shared unit denominator
+            self.num, self.den = LaurentPoly.const(value), _P1
+        elif isinstance(value, (LaurentPoly, Fraction)):
+            if isinstance(value, Fraction):
+                value = LaurentPoly.const(value)
             q = _canonical(value, _P1)
-        elif isinstance(value, (int, Fraction)):
-            q = _canonical(LaurentPoly.const(value), _P1)
+            self.num, self.den = q.num, q.den
         else:
             raise TypeError(f"cannot build QRational from {type(value).__name__}")
-        self.num = q.num
-        self.den = q.den
         self._hash = None
 
     @classmethod
@@ -574,7 +581,9 @@ class QRational:
         return (self.num, self.den)
 
     def __setstate__(self, state):
-        self.num, self.den = state
+        num, den = state
+        self.num = num
+        self.den = _P1 if den == _P1 else den
         self._hash = None
 
     def __str__(self):
@@ -594,10 +603,11 @@ def _canonical(num, den):
     a, b = num.min_exp, den.min_exp
     n = num.shift(-a)
     d = den.shift(-b)
-    g = poly_gcd(n, d)
-    if g != _P1:
-        n = poly_divexact(n, g)
-        d = poly_divexact(d, g)
+    if len(d) > 1:  # a constant d has gcd 1 with anything
+        g = poly_gcd(n, d)
+        if g != _P1:
+            n = poly_divexact(n, g)
+            d = poly_divexact(d, g)
     cn, cd = n.content(), d.content()
     c = Fraction(_igcd(cn.numerator, cd.numerator), _ilcm(cn.denominator, cd.denominator))
     if d.coeff(0) < 0:

@@ -33,11 +33,10 @@ from .identities import (
     linear_instances,
 )
 from .maps import BilinearMap, LinearMap
-from .qfield import LaurentPoly, QRational, poly_divexact, poly_gcd
+from .qfield import _P1, LaurentPoly, QRational, poly_divexact, poly_gcd
 
 Q0 = QRational(0)
 Q1 = QRational(1)
-_P1 = LaurentPoly({0: 1})
 
 _EQ_ORDER = {"eq1": 0, "eq2": 1, "eq": 0, "commute": 0, "twist-commute": 1}
 
@@ -820,12 +819,16 @@ def _eliminate(rows):
 
 @dataclass
 class SolutionSpace:
-    """Exact nullspace basis; each element assigns a field value per slot key."""
+    """Exact nullspace basis; each element assigns a field value per slot key.
+
+    `system` is the window system the space was solved from.
+    """
 
     ansatz: HomogeneousAnsatz
     basis: List[Dict[tuple, QRational]]
     raw_window_dim: Optional[int] = None
     raw_enlarged_dim: Optional[int] = None
+    system: Optional[ConstraintSystem] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -917,7 +920,7 @@ def nullspace(sys):
         slots = ansatz.slots
         keyed = {slots[j]: v for j, v in vec.items() if not v.is_zero}
         basis.append(_vec_canonical(ansatz, keyed))
-    return SolutionSpace(ansatz, basis)
+    return SolutionSpace(ansatz, basis, system=sys)
 
 
 def nullspace_dim_specialized(sys, q0):
@@ -1132,4 +1135,5 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
         stable_basis,
         raw_window_dim=small.dim,
         raw_enlarged_dim=big.dim,
+        system=sys_small,
     )

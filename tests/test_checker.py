@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,11 @@ from homlie.checker import (
     check_bilinear_skew,
     check_linear_class,
     check_multiplicative,
+    _collect,
+    _wrap_bilinear,
 )
 from homlie.classify import known_map
+from homlie.identities import OutOfWindow, bilinear_instances
 from homlie.maps import BilinearMap, LinearMap, scaled_bracket
 from homlie.qfield import QRational, qpow
 
@@ -249,3 +253,66 @@ def test_report_sorting_and_str(w22q):
     assert "failed" in str(rep)
     ok = check_axioms(w22q, Window(-2, 2))
     assert "passed" in str(ok)
+
+
+# -- evaluation memo ---------------------------------------------------------------
+
+
+def _counting_bilinear(phi, calls):
+    def rule(g1, g2):
+        calls[g1, g2] += 1
+        return phi(g1, g2)
+
+    return BilinearMap.from_rule(phi.parity, rule, degree=phi.degree)
+
+
+@pytest.mark.parametrize("cls", ["biderivation", "alpha_biderivation"])
+def test_bilinear_check_evaluates_each_pair_once(w22q, cls):
+    calls = Counter()
+    phi = _counting_bilinear(known_map("phi_0", w22q), calls)
+    rep = check_bilinear_class(w22q, phi, cls, Window(-2, 2))
+    assert rep.checked > len(calls) > 0
+    assert set(calls.values()) == {1}
+
+
+def test_linear_check_evaluates_each_generator_once(w22q):
+    calls = Counter()
+
+    def rule(g):
+        calls[g] += 1
+        return Vector.of(g)
+
+    f = LinearMap.from_rule(0, rule, degree=0)
+    assert check_linear_class(w22q, f, "commuting_map", Window(-2, 2)).passed
+    assert len(calls) == len(w22q.gens_in(Window(-2, 2)))
+    assert set(calls.values()) == {1}
+
+
+def test_memo_keeps_the_report_of_a_wrong_map(w22q):
+    # phi_0 is not an alpha-biderivation; compare with an unmemoized stream
+    window = Window(-2, 2)
+    phi = known_map("phi_0", w22q)
+
+    def plain(g1, g2):
+        if not (window.contains(g1.degree) and window.contains(g2.degree)):
+            raise OutOfWindow
+        return phi(g1, g2).terms
+
+    want = _collect(w22q, bilinear_instances(
+        w22q, "alpha_biderivation", window, plain, phi.parity, strict=True
+    ))
+    rep = check_bilinear_class(w22q, phi, "alpha_biderivation", window)
+    assert not rep.passed
+    assert rep.checked == want.checked
+    assert rep.witnesses == want.witnesses
+
+
+def test_memo_does_not_cache_out_of_window(w22q):
+    calls = Counter()
+    g = w22q.generator("L", 0)
+    phi = _counting_bilinear(BilinearMap.from_table(0, {}), calls)
+    call = _wrap_bilinear(phi, w22q, Window(-2, 2))
+    for _ in range(2):
+        with pytest.raises(OutOfWindow):
+            call(g, g)
+    assert calls[g, g] == 2

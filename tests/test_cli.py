@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homlie
+from homlie import cli, solver
+from homlie.algebra import Window, builtin
 from homlie.cli import main
 from homlie.dsl import serialize
-from homlie.algebra import builtin
 
 
 def run(capsys, *argv):
@@ -76,6 +82,36 @@ def test_solve_specialize_q(capsys):
     assert code == 0
     payload = json.loads(out)
     assert "dim_specialized" in payload["results"][0]
+
+
+@pytest.mark.parametrize("cls,enlarged", [
+    ("biderivation", True),
+    ("alpha-biderivation", False),
+])
+def test_specialize_q_reuses_the_window_system(capsys, monkeypatch, cls, enlarged):
+    windows = []
+    build = solver.build_system
+
+    def counting_build_system(p, ansatz, *args, **kwargs):
+        windows.append(ansatz.window)
+        return build(p, ansatz, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_system", counting_build_system)
+    monkeypatch.setattr(cli, "build_system", counting_build_system, raising=False)
+    code, out, _ = run(
+        capsys, "solve", "--algebra", "wittq", "--class", cls,
+        "--degree", "0", "--window", "-1..1", "--specialize-q", "2",
+        "--output", "json",
+    )
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    window = Window(-1, 1)
+    assert windows == ([window, window.widen(2)] if enlarged else [window])
+    p = builtin("wittq")
+    sysw = build(p, solver.build_ansatz(
+        p, "bilinear", cls.replace("-", "_"), s=0, window=window,
+    ))
+    assert result["dim_specialized"] == solver.nullspace_dim_specialized(sysw, 2)
 
 
 def test_specialize_q_rejects_forbidden(capsys):
@@ -166,6 +202,37 @@ def test_negative_delta_exits_two(capsys, argv):
     code, err = run_bad_input(capsys, *argv, "--delta", "-3")
     assert code == 2
     assert len(err) == 1 and "--delta" in err[0]
+
+
+def test_negative_samples_exits_two(capsys):
+    code, err = run_bad_input(
+        capsys, "check-axioms", "--algebra", "wittq", "--window", "-1..1",
+        "--samples", "-5",
+    )
+    assert code == 2
+    assert len(err) == 1 and "--samples" in err[0]
+
+
+def run_module(*argv):
+    """`python -m homlie` in a fresh interpreter that imports this homlie."""
+    src = str(Path(homlie.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "homlie", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+
+
+def test_python_m_homlie_help():
+    proc = run_module("--help")
+    assert proc.returncode == 0
+    assert "usage: homlie" in proc.stdout
+
+
+def test_python_m_homlie_rejects_bad_input():
+    proc = run_module("solve", "--algebra", "wittq", "--class", "biderivation",
+                      "--window", "-1..1", "--delta", "-1")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_negative_twist_power_exits_two(capsys):

@@ -1,9 +1,12 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlie import qfield
+from homlie.algebra import Generator, Vector
 from homlie.qfield import (
     ForbiddenSpecialization,
     LaurentPoly,
@@ -34,6 +37,18 @@ def qrationals():
         return QRational.make(num, den)
 
     return st.builds(make, laurents(), laurents())
+
+
+def non_monomials():
+    # at least two terms, so QRational.make must take the gcd path
+    term = st.tuples(st.integers(min_value=-4, max_value=4),
+                     st.integers(min_value=-5, max_value=5).filter(bool))
+    return (st.lists(term, min_size=2, max_size=4, unique_by=lambda t: t[0])
+            .map(LaurentPoly))
+
+
+def nonzero_rationals():
+    return st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
 
 
 # -- Laurent polynomials ------------------------------------------------------
@@ -118,6 +133,31 @@ def test_denominator_normalization():
     assert x.den.coeff(x.den.min_exp) > 0
     assert x.den.min_exp == 0
     assert x * (qpow(1) - QRational(2)) == Q1
+
+
+@given(laurents(), nonzero_rationals(), st.integers(min_value=-4, max_value=4),
+       non_monomials())
+@settings(max_examples=80, deadline=None)
+def test_constant_denominator_skips_gcd_soundly(num, c, k, r):
+    den = LaurentPoly.monomial(k, c)
+    assert QRational.make(num, den) == QRational.make(num * r, den * r)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), non_monomials())
+@settings(max_examples=60, deadline=None)
+def test_integer_constructor_matches_gcd_path(n, r):
+    x = QRational(n)
+    assert x == QRational.make(LaurentPoly.const(n) * r, r)
+    assert x.den is qfield._P1
+
+
+def test_unit_denominator_is_shared():
+    values = [QRational(n) for n in (-3, 0, 1, 7)]
+    values += [QRational(Fraction(4, 2)), qpow(-2), qbracket(3)]
+    values += list(Vector.of(Generator("L", 0, 0)).terms.values())
+    values += [pickle.loads(pickle.dumps(v)) for v in values]
+    for v in values:
+        assert v.den is qfield._P1
 
 
 @given(qrationals(), qrationals(), qrationals())

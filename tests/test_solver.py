@@ -1,6 +1,6 @@
 import pytest
 
-from homlie import solver
+from homlie import qfield, solver
 from homlie.algebra import Window, builtin
 from homlie.checker import check_bilinear_class, check_linear_class
 from homlie.classify import known_map
@@ -207,6 +207,33 @@ def test_vanishing_window_skips_enlarged_system(wittq, monkeypatch):
     one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
     assert one.dim == 1 and one.raw_enlarged_dim is not None
     assert windows == [SMALL, SMALL.widen(2)]
+
+
+@pytest.mark.parametrize("alg,cls,s,parity,dim", [
+    ("w22q", "biderivation", 0, 0, 2),
+    ("wittq", "biderivation", 0, 0, 1),
+    ("wittsuperq", "super_biderivation", 0, 0, 1),
+    ("wittsuperq", "super_biderivation", -1, 1, 1),
+])
+def test_basis_values_share_the_unit_denominator(alg, cls, s, parity, dim):
+    # the Q(q) fast paths test `den is _P1`; a second unit object disables them
+    space = stable_solve(
+        builtin(alg), "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2
+    )
+    assert space.dim == dim
+    for vec in space.basis:
+        for v in vec.values():
+            assert v.den is qfield._P1
+
+
+def test_solution_space_carries_its_window_system(wittq):
+    zero = stable_solve(
+        wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2
+    )
+    one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    for space in (zero, one):
+        assert space.system.ansatz.window == SMALL
+        assert nullspace(space.system).dim == space.raw_window_dim
 
 
 def test_negative_delta_is_rejected(wittq):
