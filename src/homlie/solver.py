@@ -12,7 +12,8 @@ window nullspace can exceed the true solution space.  `stable_solve` filters
 it by solving again on an enlarged window and keeping the restrictions, which
 is the finite stand-in for a solution defined on the whole graded algebra.
 When the window space is already 0 it returns at once: the restrictions must
-satisfy the window system, so they can only be zero.
+satisfy the window system, so they can only be zero.  For bilinear classes a
+rank computed modulo a prime proves that before any exact solve.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import Generator, Vector, Window
 from .identities import (
+    ClassModeMismatch,
     OutOfWindow,
     bilinear_instances,
     check_class_mode,
@@ -98,7 +100,7 @@ class HomogeneousAnsatz:
             raise ValueError(f"unknown ansatz kind {kind!r}")
         check_class_mode(p, cls)
         if not p.is_super and parity != 0:
-            raise ValueError("odd maps need a super presentation")
+            raise ClassModeMismatch("odd maps need a super presentation")
         self.p = p
         self.kind = kind
         self.cls = cls
@@ -270,12 +272,7 @@ def build_system(p, ansatz, window=None, _generic=False):
     """Instantiate the class identities over all interior tuples."""
     if window is not None and window != ansatz.window:
         raise ValueError("ansatz was built for a different window")
-    use_fast = (
-        not _generic
-        and ansatz.kind == "bilinear"
-        and not p.is_scalar
-        and p.fast_scalars
-    )
+    use_fast = not _generic and _uses_fast_rows(p, ansatz)
     stream = _fast_bilinear_rows(p, ansatz) if use_fast else _generic_rows(p, ansatz)
     p_key = p.gen_sort_key
     raw = sorted(
@@ -329,11 +326,18 @@ def single_instance_rows(p, ansatz, inputs):
     return out
 
 
-def _fast_bilinear_rows(p, ansatz):
+def _uses_fast_rows(p, ansatz):
+    return ansatz.kind == "bilinear" and not p.is_scalar and p.fast_scalars
+
+
+def _fast_bilinear_rows(p, ansatz, prime=None, point=None):
     """Direct row construction for bilinear classes on graded presentations.
 
     Produces exactly the rows of the generic instance stream (asserted by the
-    test suite) without building intermediate symbolic vectors.
+    test suite) without building intermediate symbolic vectors.  Given a
+    `prime`, the structure constants are their images under q -> `point` in
+    F_prime (see `_mod_p_tables`) and each row entry is reduced to a residue,
+    so the rows are the images of the Laurent rows.
     """
     window = ansatz.window
     gens = p.gens_in(window)
@@ -343,8 +347,17 @@ def _fast_bilinear_rows(p, ansatz):
     index = ansatz.index
     targets = ansatz._targets
     fam_parity = {f.name: f.parity for f in p.families.values()}
-    bfast = p.bracket_gens_fast
-    afast = p.alpha_gens_fast
+    if prime is None:
+        bfast = p.bracket_gens_fast
+        afast = p.alpha_gens_fast
+
+        def nonzero(row):
+            return {j: c for j, c in row.items() if c}
+    else:
+        bfast, afast = _mod_p_tables(p, prime, point)
+
+        def nonzero(row):
+            return {j: r for j, c in row.items() if (r := c % prime)}
     contains = window.contains
     alpha1 = {}
     for g in gens:
@@ -368,7 +381,7 @@ def _fast_bilinear_rows(p, ansatz):
             row[j] = c
         else:
             c0 = c0 + c
-            if c0.is_zero:
+            if not c0:
                 del row[j]
             else:
                 row[j] = c0
@@ -429,7 +442,7 @@ def _fast_bilinear_rows(p, ansatz):
                         xx, cax = ax
                         phi_bracket_put(acc, y, z, xx, cax, 1 if neg_phix else -1, True)
                     for gfin, row in acc.items():
-                        row = {j: c for j, c in row.items() if not c.is_zero}
+                        row = nonzero(row)
                         if row:
                             yield ("eq1", (x, y, z), gfin, row)
                 # second identity
@@ -451,9 +464,125 @@ def _fast_bilinear_rows(p, ansatz):
                         yy, cay = ay
                         phi_bracket_put(acc, x, z, yy, cay, 1 if neg_phixy else -1, True)
                     for gfin, row in acc.items():
-                        row = {j: c for j, c in row.items() if not c.is_zero}
+                        row = nonzero(row)
                         if row:
                             yield ("eq2", (x, y, z), gfin, row)
+
+
+# -- modular rank certificate ----------------------------------------------
+#
+# q -> MOD_POINT sends the Laurent rows to rows over F_p, p = MOD_PRIME.  This
+# is a ring map, so an r x r minor that survives it was nonzero over Q(q): the
+# rank can only drop, and mod-p nullity 0 proves the exact nullity is 0.  Any
+# other outcome (and a structure constant whose denominator p divides) leaves
+# the decision to the exact path, so an unlucky point costs time, never a
+# wrong answer.
+
+MOD_PRIME = 2**31 - 1
+MOD_POINT = 123457
+
+
+class _Unlucky(ArithmeticError):
+    """A structure constant has no image at the chosen point."""
+
+
+def _mod_p_value(pol, prime, point):
+    acc = 0
+    for e, c in pol.items():
+        den = c.denominator
+        if den % prime == 0:
+            raise _Unlucky(f"{prime} divides a denominator")
+        if den != 1:
+            c = c.numerator * pow(den, -1, prime)
+        acc += c * pow(point, e, prime)
+    return acc % prime
+
+
+def _mod_p_tables(p, prime, point):
+    """`bracket_gens_fast` and `alpha_gens_fast` of p with F_p coefficients.
+
+    Terms whose coefficient vanishes mod p are kept, so the in-window flags
+    of `_fast_bilinear_rows` match the exact ones term for term.
+    """
+    if point % prime == 0:
+        raise _Unlucky("q cannot be sent to 0")
+
+    def images(laurent_table):
+        cache = {}
+
+        def table(*gens):
+            out = cache.get(gens)
+            if out is None:
+                out = cache[gens] = tuple(
+                    (g, _mod_p_value(c, prime, point)) for g, c in laurent_table(*gens)
+                )
+            return out
+
+        return table
+
+    return images(p.bracket_gens_fast), images(p.alpha_gens_fast)
+
+
+def _rank_mod_p(rows, prime):
+    """Rank of sparse rows {col: residue} over F_p; the rows are consumed.
+
+    The singleton zero cascade runs first, as in `_eliminate`; the surviving
+    rows are reduced one by one, shortest first, against monic pivot rows.
+    """
+    colrows = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            colrows.setdefault(j, []).append(i)
+    zeros = 0
+    queue = [i for i, r in enumerate(rows) if len(r) == 1]
+    while queue:
+        r = rows[queue.pop()]
+        if len(r) != 1:
+            continue
+        (col,) = r
+        zeros += 1
+        for i in colrows.pop(col):
+            ri = rows[i]
+            del ri[col]
+            if len(ri) == 1:
+                queue.append(i)
+    # pivot rows omit their pivot column (coefficient 1); a pivot row holds
+    # only columns that were not pivots when it was made, so reduction ends
+    pivots = {}
+    for row in sorted(filter(None, rows), key=len):
+        todo = [j for j in row if j in pivots]
+        while todo:
+            col = todo.pop()
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for j, v in pivots[col].items():
+                c = row.get(j)
+                if c is None:
+                    row[j] = -f * v % prime
+                    if j in pivots:
+                        todo.append(j)
+                else:
+                    c = (c - f * v) % prime
+                    if c:
+                        row[j] = c
+                    else:
+                        del row[j]
+        if row:
+            col = next(iter(row))
+            inv = pow(row.pop(col), -1, prime)
+            pivots[col] = {j: v * inv % prime for j, v in row.items()}
+    return zeros + len(pivots)
+
+
+def _mod_p_nullity(p, ansatz, prime, point):
+    """Nullity of the window system's image under q -> point in F_prime, or
+    None when a structure constant has no image there."""
+    try:
+        rows = [row for _, _, _, row in _fast_bilinear_rows(p, ansatz, prime, point)]
+    except _Unlucky:
+        return None
+    return len(ansatz.slots) - _rank_mod_p(rows, prime)
 
 
 # -- integer Laurent rows --------------------------------------------------
@@ -821,14 +950,24 @@ def _eliminate(rows):
 class SolutionSpace:
     """Exact nullspace basis; each element assigns a field value per slot key.
 
-    `system` is the window system the space was solved from.
+    `system` is the window system the space was solved from; when the
+    modular certificate decided the space, it is built on first access.
+    `witness` is that certificate, (p, a, mod-p nullity) for q -> a in F_p,
+    and None when the exact path decided the space.
     """
 
     ansatz: HomogeneousAnsatz
     basis: List[Dict[tuple, QRational]]
     raw_window_dim: Optional[int] = None
     raw_enlarged_dim: Optional[int] = None
-    system: Optional[ConstraintSystem] = field(default=None, repr=False, compare=False)
+    witness: Optional[Tuple[int, int, int]] = None
+    _system: Optional[ConstraintSystem] = field(default=None, repr=False, compare=False)
+
+    @property
+    def system(self):
+        if self._system is None:
+            self._system = build_system(self.ansatz.p, self.ansatz)
+        return self._system
 
     @property
     def dim(self):
@@ -920,7 +1059,7 @@ def nullspace(sys):
         slots = ansatz.slots
         keyed = {slots[j]: v for j, v in vec.items() if not v.is_zero}
         basis.append(_vec_canonical(ansatz, keyed))
-    return SolutionSpace(ansatz, basis, system=sys)
+    return SolutionSpace(ansatz, basis, _system=sys)
 
 
 def nullspace_dim_specialized(sys, q0):
@@ -1093,13 +1232,19 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     When the window space is 0 the enlarged system is not solved, and
     `raw_enlarged_dim` is None: every restriction satisfies the window
     system, so it is zero, and the stable space is 0 whatever the enlarged
-    space is.
+    space is.  For rows from `_fast_bilinear_rows`, a mod-p nullity of 0
+    proves that without the exact window solve; the space then carries the
+    rank witness.
     """
     if window is None:
         raise ValueError("a window is required")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     ansatz = build_ansatz(p, kind, cls, s=s, parity=parity, window=window, k=k)
+    if delta and _uses_fast_rows(p, ansatz):
+        prime, point = MOD_PRIME, MOD_POINT
+        if _mod_p_nullity(p, ansatz, prime, point) == 0:
+            return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))
     sys_small = build_system(p, ansatz)
     small = nullspace(sys_small)
     if p.is_scalar or delta == 0:
@@ -1135,5 +1280,5 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
         stable_basis,
         raw_window_dim=small.dim,
         raw_enlarged_dim=big.dim,
-        system=sys_small,
+        _system=sys_small,
     )

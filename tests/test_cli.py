@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import homlie
 from homlie import cli, solver
-from homlie.algebra import Window, builtin
-from homlie.cli import main
+from homlie.algebra import BUILTIN_NAMES, Window, builtin
+from homlie.cli import BILINEAR_FLAGS, LINEAR_FLAGS, main
 from homlie.dsl import serialize
 
 
@@ -211,6 +215,76 @@ def test_negative_samples_exits_two(capsys):
     )
     assert code == 2
     assert len(err) == 1 and "--samples" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--class", "biderivation"),
+    ("classify", "--class", "biderivation"),
+    ("commuting-maps",),
+    ("corollaries",),
+])
+def test_odd_parity_on_a_lie_algebra_exits_two(capsys, argv):
+    code, err = run_bad_input(
+        capsys, *argv, "--algebra", "wittq", "--window", "-1..1", "--parity", "1",
+    )
+    assert code == 2
+    assert err == ["error: odd maps need a super presentation"]
+
+
+FUZZ_VALUES = {
+    "--class": tuple(sorted(BILINEAR_FLAGS) + sorted(LINEAR_FLAGS)) + ("bogus",),
+    "--parity": ("0", "1", "2", "both"),
+    "--degree": ("-1", "0", "1"),
+    "--delta": ("0", "1"),
+    "--map": ("phi_ad", "phi_0", "phi_minus1"),
+}
+# every subcommand but reproduce-paper (whose criteria use fixed windows),
+# with the options it takes
+FUZZ_OPTIONS = {
+    "check-axioms": (),
+    "check-map": ("--map", "--class"),
+    "solve": ("--class", "--degree", "--parity", "--delta"),
+    "classify": ("--class", "--degree", "--parity", "--delta"),
+    "commuting-maps": ("--parity", "--delta"),
+    "corollaries": ("--parity", "--delta"),
+}
+
+
+def _fragment(flag):
+    # an option left out, or given one of its values (valid or not)
+    return st.one_of(st.just(()), st.sampled_from(FUZZ_VALUES[flag]).map(lambda v: (flag, v)))
+
+
+def _fuzz_argv(command):
+    return st.tuples(
+        st.just((command,)),
+        st.sampled_from(BUILTIN_NAMES + ("no-such-algebra",)).map(lambda a: ("--algebra", a)),
+        st.sampled_from(("-1..1", "0..1", "0..0", "-1..0", "1..0")).map(lambda w: ("--window", w)),
+        *[_fragment(flag) for flag in FUZZ_OPTIONS[command]],
+        # now and then one more option, which the subcommand may not take
+        st.one_of(st.just(()), st.just(()), st.just(()),
+                  st.sampled_from(sorted(FUZZ_VALUES)).flatmap(_fragment)),
+    ).map(lambda parts: [arg for part in parts for arg in part])
+
+
+FUZZ_ARGV = st.sampled_from(sorted(FUZZ_OPTIONS)).flatmap(_fuzz_argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FUZZ_ARGV)
+@example(["solve", "--algebra", "wittq", "--class", "biderivation",
+          "--window", "-1..1", "--parity", "1"])
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def run_module(*argv):

@@ -4,6 +4,7 @@ from homlie import qfield, solver
 from homlie.algebra import Window, builtin
 from homlie.checker import check_bilinear_class, check_linear_class
 from homlie.classify import known_map
+from homlie.dsl import parse
 from homlie.identities import ClassModeMismatch
 from homlie.qfield import QRational
 from homlie.solver import (
@@ -202,7 +203,7 @@ def test_vanishing_window_skips_enlarged_system(wittq, monkeypatch):
         wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2
     )
     assert (zero.dim, zero.raw_window_dim, zero.raw_enlarged_dim) == (0, 0, None)
-    assert windows == [SMALL]
+    assert windows == []
     windows.clear()
     one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
     assert one.dim == 1 and one.raw_enlarged_dim is not None
@@ -234,6 +235,104 @@ def test_solution_space_carries_its_window_system(wittq):
     for space in (zero, one):
         assert space.system.ansatz.window == SMALL
         assert nullspace(space.system).dim == space.raw_window_dim
+
+
+# -- modular rank certificate ------------------------------------------------------
+
+
+def _mod_p_nullity(p, ansatz):
+    return solver._mod_p_nullity(p, ansatz, solver.MOD_PRIME, solver.MOD_POINT)
+
+
+@DIM_CASES
+@DIM_DEGREES
+def test_mod_p_nullity_equals_exact_nullity(alg, cls, parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+    exact = nullspace(build_system(p, a)).dim
+    modular = _mod_p_nullity(p, a)
+    # q -> a in F_p can only lower the rank; at the chosen point it does not
+    assert modular >= exact
+    assert modular == exact
+
+
+THIRDS = """algebra thirds;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / 3 * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+
+def test_mod_p_nullity_of_fractional_structure_constants():
+    p = parse(THIRDS)
+    for cls, s in (("biderivation", 0), ("biderivation", 1), ("alpha_biderivation", 0)):
+        a = build_ansatz(p, "bilinear", cls, s=s, window=SMALL)
+        assert _mod_p_nullity(p, a) == nullspace(build_system(p, a)).dim
+        # 3 divides a denominator: the point has no image, so no certificate
+        assert solver._mod_p_nullity(p, a, 3, 2) is None
+
+
+def test_vanishing_space_carries_its_rank_witness(wittq, monkeypatch):
+    zero = stable_solve(
+        wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2
+    )
+    assert zero.witness == (solver.MOD_PRIME, solver.MOD_POINT, 0)
+    one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    assert one.witness is None
+    # delta 0 and linear classes keep the exact path
+    flat = stable_solve(
+        wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=0
+    )
+    assert (flat.dim, flat.raw_enlarged_dim, flat.witness) == (0, 0, None)
+    linear = stable_solve(
+        wittq, "linear", "alpha_k_derivation", s=3, window=SMALL, delta=2
+    )
+    assert (linear.dim, linear.witness) == (0, None)
+    # the window system of a certified space is built once, on first access
+    builds = []
+    build = solver.build_system
+    monkeypatch.setattr(
+        solver, "build_system", lambda p, a: builds.append(a.window) or build(p, a)
+    )
+    assert zero.system is zero.system
+    assert builds == [SMALL]
+
+
+def _exact_stable_space(p, cls, s, parity, window, delta):
+    """The fields stable_solve reports, from exact solves only."""
+    small = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
+    raw = nullspace(build_system(p, small)).dim
+    enlarged = None
+    if raw:
+        big = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window.widen(delta))
+        enlarged = nullspace(build_system(p, big)).dim
+    _, basis = _two_window_stable_basis(p, cls, s, parity, window, delta)
+    return len(basis), basis, raw, enlarged, None
+
+
+def _reported(space):
+    return (space.dim, space.basis, space.raw_window_dim, space.raw_enlarged_dim,
+            space.witness)
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    ("wittq", "alpha_biderivation", 0, 0),
+    ("w22q", "biderivation", 0, 1),
+    ("wittsuperq", "super_biderivation", 1, 0),
+    ("wittq", "biderivation", 0, 0),
+])
+@pytest.mark.parametrize("prime,point", [(2, 1), (7, 14)])
+def test_unlucky_point_falls_back_to_the_exact_path(monkeypatch, alg, cls, parity, s,
+                                                    prime, point):
+    # q -> 1 mod 2 collapses the q-numbers; 14 is 0 mod 7, where q has no image
+    p = builtin(alg)
+    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+    assert solver._mod_p_nullity(p, a, prime, point) != 0
+    monkeypatch.setattr(solver, "MOD_PRIME", prime)
+    monkeypatch.setattr(solver, "MOD_POINT", point)
+    space = stable_solve(p, "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2)
+    assert _reported(space) == _exact_stable_space(p, cls, s, parity, SMALL, 2)
 
 
 def test_negative_delta_is_rejected(wittq):
