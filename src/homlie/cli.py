@@ -26,7 +26,7 @@ from .classify import UnknownMap, corollary_check, decompose, known_map, solve_c
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
 from .solver import nullspace_dim_specialized, stable_solve
-from .suite import AcceptanceSuite, SuiteConfig
+from .suite import AcceptanceSuite, BadThreadCount, SuiteConfig
 
 BILINEAR_FLAGS = {
     "biderivation": "biderivation",
@@ -67,6 +67,12 @@ def _parse_range(text):
 def _nonnegative_int(text):
     if not re.fullmatch(r"\d+", text):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _positive_int(text):
+    if not re.fullmatch(r"[1-9]\d*", text):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -166,7 +172,7 @@ def build_parser():
     sub.add_argument("--window", type=_parse_window, default=Window(-6, 6))
     sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--degree-range", type=_parse_range, default=(-4, 4))
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", type=_positive_int, default=None,
                      help="parallel workers (default: HOMLIE_THREADS or 2)")
     sub.add_argument("--output", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None)
@@ -483,7 +489,7 @@ def main(argv=None):
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, PresentationError, ClassModeMismatch,
-            ForbiddenSpecialization, FileNotFoundError) as exc:
+            ForbiddenSpecialization, FileNotFoundError, BadThreadCount) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownMap as exc:

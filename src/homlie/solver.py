@@ -7,13 +7,23 @@ Q(q).  The system is solved exactly: rows are cleared to primitive integer
 Laurent rows, reduced by fraction-free elimination with per-row content
 removal, and the nullspace basis is produced by back-substitution.
 
+Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
+The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
+sparse elimination picks a maximal independent set of their images.  This
+is a ring map, so rows independent mod p are independent over Q(q): the
+subset has the full rank at worst, and its space contains the true one.
+Every basis vector is then checked against every row in Q(q), which proves
+the two spaces equal.  A failed check, or a point with no image, sends the
+solve to the elimination of all rows; an unlucky point costs time, never a
+wrong answer.
+
 Window truncation leaves boundary unknowns under-constrained, so the raw
 window nullspace can exceed the true solution space.  `stable_solve` filters
 it by solving again on an enlarged window and keeping the restrictions, which
 is the finite stand-in for a solution defined on the whole graded algebra.
 When the window space is already 0 it returns at once: the restrictions must
 satisfy the window system, so they can only be zero.  For bilinear classes a
-rank computed modulo a prime proves that before any exact solve.
+rank computed modulo the same prime proves that before any exact solve.
 """
 
 from __future__ import annotations
@@ -135,6 +145,17 @@ class HomogeneousAnsatz:
         slots.sort(key=self._slot_sort_key)
         self.slots = slots
         self.index = {key: i for i, key in enumerate(slots)}
+
+    def _key(self):
+        return (self.p, self.kind, self.cls, self.degrees, self.parity, self.window, self.k)
+
+    def __eq__(self, other):
+        if not isinstance(other, HomogeneousAnsatz):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _slot_sort_key(self, key):
         order = self.p._order
@@ -286,7 +307,7 @@ def build_system(p, ansatz, window=None, _generic=False):
     sys = ConstraintSystem(ansatz)
     seen = set()
     for eq_id, inputs, gen, values in raw:
-        row = _introw_of(values, strip=False)
+        row = _introw_of(values)
         if row is None:
             continue
         key = tuple(sorted((j, tuple(sorted(pol.items()))) for j, pol in row.items()))
@@ -473,10 +494,11 @@ def _fast_bilinear_rows(p, ansatz, prime=None, point=None):
 #
 # q -> MOD_POINT sends the Laurent rows to rows over F_p, p = MOD_PRIME.  This
 # is a ring map, so an r x r minor that survives it was nonzero over Q(q): the
-# rank can only drop, and mod-p nullity 0 proves the exact nullity is 0.  Any
-# other outcome (and a structure constant whose denominator p divides) leaves
-# the decision to the exact path, so an unlucky point costs time, never a
-# wrong answer.
+# rank can only drop: mod-p nullity 0 proves the exact nullity is 0, and rows
+# whose images are independent were independent over Q(q), which `nullspace`
+# uses to choose the rows it eliminates.  Any other outcome (and a structure
+# constant whose denominator p divides) leaves the decision to the exact
+# path, so an unlucky point costs time, never a wrong answer.
 
 MOD_PRIME = 2**31 - 1
 MOD_POINT = 123457
@@ -486,7 +508,22 @@ class _Unlucky(ArithmeticError):
     """A structure constant has no image at the chosen point."""
 
 
-def _mod_p_value(pol, prime, point):
+def _powers_mod_p(prime, point):
+    """q^e -> point^e in F_prime, cached per exponent."""
+    if point % prime == 0:
+        raise _Unlucky("q cannot be sent to 0")
+    cache = {}
+
+    def power(e):
+        pw = cache.get(e)
+        if pw is None:
+            pw = cache[e] = pow(point, e, prime)
+        return pw
+
+    return power
+
+
+def _mod_p_value(pol, prime, power):
     acc = 0
     for e, c in pol.items():
         den = c.denominator
@@ -494,7 +531,7 @@ def _mod_p_value(pol, prime, point):
             raise _Unlucky(f"{prime} divides a denominator")
         if den != 1:
             c = c.numerator * pow(den, -1, prime)
-        acc += c * pow(point, e, prime)
+        acc += c * power(e)
     return acc % prime
 
 
@@ -504,8 +541,7 @@ def _mod_p_tables(p, prime, point):
     Terms whose coefficient vanishes mod p are kept, so the in-window flags
     of `_fast_bilinear_rows` match the exact ones term for term.
     """
-    if point % prime == 0:
-        raise _Unlucky("q cannot be sent to 0")
+    power = _powers_mod_p(prime, point)
 
     def images(laurent_table):
         cache = {}
@@ -514,7 +550,7 @@ def _mod_p_tables(p, prime, point):
             out = cache.get(gens)
             if out is None:
                 out = cache[gens] = tuple(
-                    (g, _mod_p_value(c, prime, point)) for g, c in laurent_table(*gens)
+                    (g, _mod_p_value(c, prime, power)) for g, c in laurent_table(*gens)
                 )
             return out
 
@@ -523,33 +559,52 @@ def _mod_p_tables(p, prime, point):
     return images(p.bracket_gens_fast), images(p.alpha_gens_fast)
 
 
-def _rank_mod_p(rows, prime):
-    """Rank of sparse rows {col: residue} over F_p; the rows are consumed.
+def _rows_mod_p(rows, prime, point):
+    """Images of integer Laurent rows {col: QRational} under q -> point."""
+    power = _powers_mod_p(prime, point)
+    out = []
+    for row in rows:
+        image = {}
+        for j, v in row.items():
+            r = _mod_p_value(v.num._t, prime, power)
+            if r:
+                image[j] = r
+        out.append(image)
+    return out
 
-    The singleton zero cascade runs first, as in `_eliminate`; the surviving
-    rows are reduced one by one, shortest first, against monic pivot rows.
+
+def _rank_mod_p(rows, prime):
+    """Indices of a maximal set of rows independent over F_p, in the order
+    they were taken; its length is the rank.  The rows are consumed.
+
+    The singleton zero cascade runs first, as in `_eliminate`, and takes each
+    row that kills a column; the surviving rows are reduced one by one,
+    shortest first, against monic pivot rows, and each row that leaves a
+    remainder gives a pivot.
     """
     colrows = {}
     for i, r in enumerate(rows):
         for j in r:
             colrows.setdefault(j, []).append(i)
-    zeros = 0
+    taken = []
     queue = [i for i, r in enumerate(rows) if len(r) == 1]
     while queue:
-        r = rows[queue.pop()]
+        i = queue.pop()
+        r = rows[i]
         if len(r) != 1:
             continue
         (col,) = r
-        zeros += 1
-        for i in colrows.pop(col):
-            ri = rows[i]
-            del ri[col]
-            if len(ri) == 1:
-                queue.append(i)
+        taken.append(i)
+        for k in colrows.pop(col):
+            rk = rows[k]
+            del rk[col]
+            if len(rk) == 1:
+                queue.append(k)
     # pivot rows omit their pivot column (coefficient 1); a pivot row holds
     # only columns that were not pivots when it was made, so reduction ends
     pivots = {}
-    for row in sorted(filter(None, rows), key=len):
+    for i in sorted((i for i, r in enumerate(rows) if r), key=lambda i: len(rows[i])):
+        row = rows[i]
         todo = [j for j in row if j in pivots]
         while todo:
             col = todo.pop()
@@ -572,7 +627,8 @@ def _rank_mod_p(rows, prime):
             col = next(iter(row))
             inv = pow(row.pop(col), -1, prime)
             pivots[col] = {j: v * inv % prime for j, v in row.items()}
-    return zeros + len(pivots)
+            taken.append(i)
+    return taken
 
 
 def _mod_p_nullity(p, ansatz, prime, point):
@@ -582,7 +638,7 @@ def _mod_p_nullity(p, ansatz, prime, point):
         rows = [row for _, _, _, row in _fast_bilinear_rows(p, ansatz, prime, point)]
     except _Unlucky:
         return None
-    return len(ansatz.slots) - _rank_mod_p(rows, prime)
+    return len(ansatz.slots) - len(_rank_mod_p(rows, prime))
 
 
 # -- integer Laurent rows --------------------------------------------------
@@ -592,7 +648,7 @@ def _poly_lcm(a, b):
     return poly_divexact(a * b, poly_gcd(a, b))
 
 
-def _introw_of(values, strip=True):
+def _introw_of(values):
     """Linear-form values -> normalized integer-coefficient row (dicts)."""
     entries = {}
     laurent = all(isinstance(v, LaurentPoly) for v in values.values())
@@ -626,7 +682,7 @@ def _introw_of(values, strip=True):
             j: {e: int(c * mul) for e, c in pol.items()}
             for j, pol in entries.items()
         }
-    return _normalize_row(entries, strip=strip)
+    return _normalize_row(entries, strip=False)
 
 
 # dense integer polynomial kernels for row normalization
@@ -1034,10 +1090,34 @@ def _vec_canonical(ansatz, vec):
 
 
 def nullspace(sys):
-    """Exact basis of the solution space of the constraint system."""
+    """Exact basis of the solution space of the constraint system.
+
+    Only the rows whose images under q -> MOD_POINT in F_MOD_PRIME are
+    independent are eliminated over Q(q).  They are independent over Q(q)
+    too, so their space contains the true one; every basis vector is then
+    checked against every row, which makes the two spaces equal.  When a
+    check fails, or the point has no image, all rows are eliminated.
+    """
+    rows = sys.rows
+    try:
+        images = _rows_mod_p(rows, MOD_PRIME, MOD_POINT)
+    except _Unlucky:
+        taken = None
+    else:
+        taken = _rank_mod_p(images, MOD_PRIME)
+    if taken is not None and len(taken) < len(rows):
+        space = _solve_rows(sys, [rows[i] for i in sorted(taken)])
+        vecs = space.id_vectors()
+        if all(_satisfies(row, vec) for vec in vecs for row in rows):
+            return space
+    return _solve_rows(sys, rows)
+
+
+def _solve_rows(sys, rows):
+    """Basis of the space cut out by `rows`, a subset of the rows of `sys`."""
     ansatz = sys.ansatz
     introws = [
-        {j: dict(v.num._t) for j, v in row.items()} for row in sys.rows
+        {j: dict(v.num._t) for j, v in row.items()} for row in rows
     ]
     pivots, zeros = _eliminate(introws)
     ncols = len(ansatz.slots)

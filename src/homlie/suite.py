@@ -9,6 +9,7 @@ finite-range evidence, not as proofs over the full graded algebras.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,6 +39,10 @@ from . import rowrefs
 Q1 = QRational(1)
 
 
+class BadThreadCount(ValueError):
+    """A worker count that is not a positive integer."""
+
+
 @dataclass
 class SuiteConfig:
     window: Window = Window(-6, 6)
@@ -46,14 +51,16 @@ class SuiteConfig:
     threads: Optional[int] = None
 
     def resolved_threads(self):
+        """The worker count: `threads`, else HOMLIE_THREADS, else up to 2."""
         if self.threads is not None:
-            return max(1, self.threads)
+            if self.threads < 1:
+                raise BadThreadCount(f"threads must be a positive integer, got {self.threads}")
+            return self.threads
         env = os.environ.get("HOMLIE_THREADS")
         if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                pass
+            if not re.fullmatch(r"[1-9]\d*", env):
+                raise BadThreadCount(f"HOMLIE_THREADS must be a positive integer, got {env!r}")
+            return int(env)
         return min(2, os.cpu_count() or 1)
 
 
@@ -111,7 +118,7 @@ def _scan_task(task):
 
 def _run_scan_tasks(tasks, threads):
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             results = list(pool.map(_scan_task, tasks))
     else:
         results = [_scan_task(t) for t in tasks]
@@ -123,6 +130,7 @@ class AcceptanceSuite:
 
     def __init__(self, config=None, log=None):
         self.cfg = config or SuiteConfig()
+        self.threads = self.cfg.resolved_threads()
         self.log = log or (lambda line: None)
         self._scans = None
 
@@ -167,9 +175,8 @@ class AcceptanceSuite:
         if self._scans is None:
             specs = self._scan_specs()
             tasks = [(key, *body) for key, body in specs]
-            self.log(f"running {len(tasks)} stable scans "
-                     f"(threads={self.cfg.resolved_threads()})")
-            self._scans = _run_scan_tasks(tasks, self.cfg.resolved_threads())
+            self.log(f"running {len(tasks)} stable scans (threads={self.threads})")
+            self._scans = _run_scan_tasks(tasks, self.threads)
         return self._scans
 
     def _scan(self, alg, kind, cls, parity, s):

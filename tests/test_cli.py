@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homlie
-from homlie import cli, solver
+from homlie import cli, solver, suite
 from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.cli import BILINEAR_FLAGS, LINEAR_FLAGS, main
 from homlie.dsl import serialize
@@ -229,6 +229,55 @@ def test_odd_parity_on_a_lie_algebra_exits_two(capsys, argv):
     )
     assert code == 2
     assert err == ["error: odd maps need a super presentation"]
+
+
+BAD_THREAD_COUNTS = ("0", "-3", "two", "1.5")
+
+
+@pytest.mark.parametrize("value", BAD_THREAD_COUNTS)
+def test_bad_thread_count_exits_two(capsys, value):
+    code, err = run_bad_input(
+        capsys, "reproduce-paper", "--window", "-1..1", "--threads", value
+    )
+    assert code == 2
+    assert len(err) == 1 and "--threads" in err[0]
+
+
+@pytest.mark.parametrize("value", BAD_THREAD_COUNTS)
+def test_bad_thread_environment_exits_two_before_any_scan(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOMLIE_THREADS", value)
+    ran = []
+    monkeypatch.setattr(suite.AcceptanceSuite, "run_all", lambda self: ran.append(self) or [])
+    code, err = run_bad_input(capsys, "reproduce-paper", "--window", "-1..1")
+    assert code == 2
+    assert err == [f"error: HOMLIE_THREADS must be a positive integer, got {value!r}"]
+    assert ran == []
+    with pytest.raises(suite.BadThreadCount):
+        suite.SuiteConfig(threads=0).resolved_threads()
+
+
+def test_scan_pool_is_capped_by_the_task_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suite, "_scan_task", lambda task: {"id": task[0]})
+    tasks = [(i,) for i in range(3)]
+    for threads in (64, 2):
+        assert suite._run_scan_tasks(tasks, threads) == {i: {"id": i} for i in range(3)}
+    assert sizes == [3, 2]
 
 
 FUZZ_VALUES = {

@@ -335,6 +335,116 @@ def test_unlucky_point_falls_back_to_the_exact_path(monkeypatch, alg, cls, parit
     assert _reported(space) == _exact_stable_space(p, cls, s, parity, SMALL, 2)
 
 
+# -- rows selected mod p, checked exactly --------------------------------------
+
+
+def _eliminated_row_counts(monkeypatch):
+    """Record the number of rows each `_eliminate` call receives."""
+    counts = []
+    eliminate = solver._eliminate
+
+    def spy(rows):
+        counts.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    return counts
+
+
+def _full_elimination(sys):
+    return solver._solve_rows(sys, sys.rows)
+
+
+def _assert_selected_rows_suffice(monkeypatch, p, a):
+    sys = build_system(p, a)
+    counts = _eliminated_row_counts(monkeypatch)
+    space = nullspace(sys)
+    # one elimination, of fewer rows than the system has: the selected rows
+    # passed the exact check against every row
+    assert len(counts) == 1 and counts[0] < len(sys.rows)
+    full = _full_elimination(sys)
+    assert counts[0] == len(a) - full.dim
+    assert space.dim == full.dim
+    assert space == full
+
+
+@DIM_CASES
+@DIM_DEGREES
+@pytest.mark.parametrize("widen", [0, 2])
+def test_selected_rows_give_the_full_nullspace(monkeypatch, alg, cls, parity, s, widen):
+    p = builtin(alg)
+    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL.widen(widen))
+    _assert_selected_rows_suffice(monkeypatch, p, a)
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    ("w22q", "alpha_k_derivation", 0, 0),
+    ("w22q", "commuting_map", 0, 0),
+])
+def test_selected_rows_give_the_full_linear_nullspace(monkeypatch, alg, cls, parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, "linear", cls, s=s, parity=parity, window=SMALL)
+    _assert_selected_rows_suffice(monkeypatch, p, a)
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    ("wittq", "biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", 1, -1),
+    ("w22q", "alpha_biderivation", 0, 0),
+])
+def test_nullspace_at_an_unlucky_point_runs_the_full_elimination(monkeypatch, alg, cls,
+                                                                 parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+    sys = build_system(p, a)
+    expected = _full_elimination(sys)
+    rank = len(a) - expected.dim
+    # q -> 1 mod 2 loses rank, so the selected rows leave too large a space
+    assert len(solver._rank_mod_p(solver._rows_mod_p(sys.rows, 2, 1), 2)) < rank
+    monkeypatch.setattr(solver, "MOD_PRIME", 2)
+    monkeypatch.setattr(solver, "MOD_POINT", 1)
+    counts = _eliminated_row_counts(monkeypatch)
+    assert nullspace(sys) == expected
+    assert counts[-1] == len(sys.rows) and counts[0] < rank
+    # 14 is 0 mod 7, where q has no image: straight to the full elimination
+    monkeypatch.setattr(solver, "MOD_PRIME", 7)
+    monkeypatch.setattr(solver, "MOD_POINT", 14)
+    counts.clear()
+    assert nullspace(sys) == expected
+    assert counts == [len(sys.rows)]
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    ("wittq", "biderivation", 0, 0),
+    ("wittq", "alpha_biderivation", 0, 0),
+    ("w22q", "commuting_map", 0, 0),
+])
+def test_exact_check_catches_a_dropped_row(monkeypatch, alg, cls, parity, s):
+    p = builtin(alg)
+    kind = "linear" if cls == "commuting_map" else "bilinear"
+    a = build_ansatz(p, kind, cls, s=s, parity=parity, window=SMALL)
+    sys = build_system(p, a)
+    expected = _full_elimination(sys)
+    rank_mod_p = solver._rank_mod_p
+    monkeypatch.setattr(solver, "_rank_mod_p", lambda rows, prime: rank_mod_p(rows, prime)[1:])
+    counts = _eliminated_row_counts(monkeypatch)
+    assert nullspace(sys) == expected
+    assert counts == [len(a) - expected.dim - 1, len(sys.rows)]
+
+
+def test_equal_solves_compare_equal(wittq):
+    a = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    b = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    assert a.ansatz is not b.ansatz
+    assert a.ansatz == b.ansatz and hash(a.ansatz) == hash(b.ansatz)
+    assert a == b
+    other = stable_solve(
+        wittq, "bilinear", "biderivation", s=0, window=SMALL.widen(1), delta=2
+    )
+    assert other.ansatz != a.ansatz
+    assert other != a
+
+
 def test_negative_delta_is_rejected(wittq):
     with pytest.raises(ValueError, match="delta"):
         stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=-3)
