@@ -22,7 +22,9 @@ from .checker import (
     check_bilinear_class,
     check_multiplicative,
 )
-from .classify import UnknownMap, corollary_check, decompose, known_map, solve_commuting_maps
+from .classify import (
+    DependentKnowns, UnknownMap, corollary_check, decompose, known_map, solve_commuting_maps,
+)
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
 from .solver import nullspace_dim_specialized, stable_solve
@@ -489,7 +491,8 @@ def main(argv=None):
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, PresentationError, ClassModeMismatch,
-            ForbiddenSpecialization, FileNotFoundError, BadThreadCount) as exc:
+            ForbiddenSpecialization, FileNotFoundError, BadThreadCount,
+            DependentKnowns) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnknownMap as exc:

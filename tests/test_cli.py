@@ -136,6 +136,16 @@ def test_classify_w22q(capsys):
     assert res["dim"] == 2 and res["residual_dim"] == 0
 
 
+def test_classify_dependent_knowns_exits_two(capsys):
+    # phi_ad and phi_0 have degree 0, so in a degree -1 ansatz both are zero
+    code, out, err = run(
+        capsys, "classify", "--algebra", "w22q", "--class", "alpha-biderivation",
+        "--degree", "-1", "--window", "0..1", "--delta", "0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: the named maps are linearly dependent on this window\n"
+
+
 def test_check_map_failure_exits_nonzero(capsys):
     code, out, _ = run(
         capsys, "check-map", "--algebra", "w22q", "--map", "phi_0",
@@ -323,6 +333,8 @@ FUZZ_ARGV = st.sampled_from(sorted(FUZZ_OPTIONS)).flatmap(_fuzz_argv)
 @given(FUZZ_ARGV)
 @example(["solve", "--algebra", "wittq", "--class", "biderivation",
           "--window", "-1..1", "--parity", "1"])
+@example(["classify", "--algebra", "w22q", "--window", "0..1",
+          "--class", "alpha-biderivation", "--degree", "-1", "--delta", "0"])
 def test_cli_fuzz_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
