@@ -3,13 +3,12 @@
 For each space (w22q and wittq biderivations at degree 0, wittsuperq even
 super-biderivations at degree 0 and odd ones at degree -1) it times
 `build_system` and `nullspace` on the window, then `stable_solve` with its
-enlarged window (delta 2), at the `reproduce-paper` window [-6,6] by
-default.  Everything runs serially in one process.  Each stage is timed
-`--repeat` times and the median is kept.  The result, with the unknown and
-row counts and the dimensions, goes to BENCH_<label>.json next to this file:
+enlarged window (delta 2), at the `reproduce-paper` window [-6,6].
+Everything runs serially in one process.  Each stage is timed three times
+and the median is kept.  The result, with the unknown and row counts and
+the dimensions, goes to BENCH_<label>.json next to this file:
 
-    PYTHONPATH=src python benchmarks/bench.py --label NAME [--window -6..6]
-        [--repeat 3]
+    PYTHONPATH=src python benchmarks/bench.py --label NAME
 
 Point PYTHONPATH at another checkout's `src` to time that code instead.
 """
@@ -28,7 +27,9 @@ from pathlib import Path
 from homlie.algebra import Window, builtin
 from homlie.solver import build_ansatz, build_system, nullspace, stable_solve
 
+WINDOW = Window(-6, 6)
 DELTA = 2
+REPEAT = 3
 SPACES = (
     ("w22q", "biderivation", 0, 0),
     ("wittq", "biderivation", 0, 0),
@@ -43,15 +44,15 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def bench_space(alg, cls, parity, s, window, repeat):
+def bench_space(alg, cls, parity, s):
     p = builtin(alg)
     seconds = {"build_system_s": [], "nullspace_s": [], "stable_solve_s": []}
-    for _ in range(repeat):
-        ansatz = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
+    for _ in range(REPEAT):
+        ansatz = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=WINDOW)
         sys_, t_build = _timed(lambda: build_system(p, ansatz))
         space, t_null = _timed(lambda: nullspace(sys_))
         stable, t_stable = _timed(lambda: stable_solve(
-            p, "bilinear", cls, s=s, parity=parity, window=window, delta=DELTA
+            p, "bilinear", cls, s=s, parity=parity, window=WINDOW, delta=DELTA
         ))
         seconds["build_system_s"].append(t_build)
         seconds["nullspace_s"].append(t_null)
@@ -70,27 +71,20 @@ def bench_space(alg, cls, parity, s, window, repeat):
     }
 
 
-def _window(text):
-    lo, hi = text.split("..")
-    return Window(int(lo), int(hi))
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--window", type=_window, default=Window(-6, 6))
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
     rows = []
     for alg, cls, parity, s in SPACES:
-        row = bench_space(alg, cls, parity, s, args.window, args.repeat)
+        row = bench_space(alg, cls, parity, s)
         print(json.dumps(row), flush=True)
         rows.append(row)
     report = {
         "label": args.label,
-        "window": [args.window.lo, args.window.hi],
+        "window": [WINDOW.lo, WINDOW.hi],
         "delta": DELTA,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "workers": 1,
         "cpus": os.cpu_count(),
         "python": platform.python_version(),

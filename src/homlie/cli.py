@@ -28,7 +28,7 @@ from .classify import (
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
 from .solver import nullspace_dim_specialized, stable_solve
-from .suite import AcceptanceSuite, BadThreadCount, SuiteConfig
+from .suite import AcceptanceSuite, BadThreadCount, SuiteConfig, parse_thread_count
 
 BILINEAR_FLAGS = {
     "biderivation": "biderivation",
@@ -72,10 +72,11 @@ def _nonnegative_int(text):
     return int(text)
 
 
-def _positive_int(text):
-    if not re.fullmatch(r"[1-9]\d*", text):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _thread_count(text):
+    try:
+        return parse_thread_count(text)
+    except BadThreadCount as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_rational(text):
@@ -174,7 +175,7 @@ def build_parser():
     sub.add_argument("--window", type=_parse_window, default=Window(-6, 6))
     sub.add_argument("--delta", type=_nonnegative_int, default=2)
     sub.add_argument("--degree-range", type=_parse_range, default=(-4, 4))
-    sub.add_argument("--threads", type=_positive_int, default=None,
+    sub.add_argument("--threads", type=_thread_count, default=None,
                      help="parallel workers (default: HOMLIE_THREADS or 2)")
     sub.add_argument("--output", choices=("text", "json"), default="text")
     sub.add_argument("--out", default=None)

@@ -1094,9 +1094,10 @@ def nullspace(sys):
 
     Only the rows whose images under q -> MOD_POINT in F_MOD_PRIME are
     independent are eliminated over Q(q).  They are independent over Q(q)
-    too, so their space contains the true one; every basis vector is then
-    checked against every row, which makes the two spaces equal.  When a
-    check fails, or the point has no image, all rows are eliminated.
+    too, so their space contains the true one.  The basis satisfies the
+    eliminated rows by construction; it is checked against every other row,
+    which makes the two spaces equal.  When a check fails, or the point has
+    no image, all rows are eliminated.
     """
     rows = sys.rows
     try:
@@ -1106,9 +1107,11 @@ def nullspace(sys):
     else:
         taken = _rank_mod_p(images, MOD_PRIME)
     if taken is not None and len(taken) < len(rows):
-        space = _solve_rows(sys, [rows[i] for i in sorted(taken)])
+        chosen = set(taken)
+        space = _solve_rows(sys, [rows[i] for i in sorted(chosen)])
         vecs = space.id_vectors()
-        if all(_satisfies(row, vec) for vec in vecs for row in rows):
+        rest = [row for i, row in enumerate(rows) if i not in chosen]
+        if all(_satisfies(row, vec) for vec in vecs for row in rest):
             return space
     return _solve_rows(sys, rows)
 

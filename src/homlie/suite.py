@@ -43,6 +43,13 @@ class BadThreadCount(ValueError):
     """A worker count that is not a positive integer."""
 
 
+def parse_thread_count(value, name="threads"):
+    """`value`, an int or its decimal text, as a worker count."""
+    if not re.fullmatch(r"[1-9]\d*", str(value)):
+        raise BadThreadCount(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class SuiteConfig:
     window: Window = Window(-6, 6)
@@ -53,14 +60,10 @@ class SuiteConfig:
     def resolved_threads(self):
         """The worker count: `threads`, else HOMLIE_THREADS, else up to 2."""
         if self.threads is not None:
-            if self.threads < 1:
-                raise BadThreadCount(f"threads must be a positive integer, got {self.threads}")
-            return self.threads
+            return parse_thread_count(self.threads)
         env = os.environ.get("HOMLIE_THREADS")
         if env:
-            if not re.fullmatch(r"[1-9]\d*", env):
-                raise BadThreadCount(f"HOMLIE_THREADS must be a positive integer, got {env!r}")
-            return int(env)
+            return parse_thread_count(env, "HOMLIE_THREADS")
         return min(2, os.cpu_count() or 1)
 
 
