@@ -11,6 +11,8 @@ is declared.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from importlib.resources import files
 from typing import NamedTuple, Optional, Union
 
 from . import coeffexpr as ce
@@ -442,99 +444,18 @@ class AlgebraPresentation:
 
 # -- built-in presentations -------------------------------------------------
 
-_M = ce.var("m")
-_N = ce.var("n")
-_QBR_NM = ce.qbr(ce.affine(cm=-1, cn=1))  # symmetric q-number of n - m
-_QNM_DIFF = ce.sub(ce.qnm(ce.affine(cn=1)), ce.qnm(ce.affine(cm=1)))  # {n} - {m}
+BUILTIN_NAMES = ("w22q", "wittq", "wittsuperq", "example49")
 
 
-def _w22q():
-    # Two even integer-indexed families; bracket lands in degree m+n; the
-    # twist scales each generator by q^m + q^-m.
-    alpha = ce.add(ce.q_to(ce.affine(cm=1)), ce.q_to(ce.affine(cm=-1)))
-    return AlgebraPresentation(
-        name="w22q",
-        mode="lie",
-        families=[Family("L", 0, "all"), Family("W", 0, "all")],
-        brackets={
-            ("L", "L"): [BracketTerm(_QBR_NM, "L", 0)],
-            ("L", "W"): [BracketTerm(_QBR_NM, "W", 0)],
-        },
-        alphas={
-            "L": AlphaRule(alpha, "L"),
-            "W": AlphaRule(alpha, "W"),
-        },
-    )
-
-
-def _wittq():
-    alpha = ce.add(ce.num(1), ce.q_to(ce.affine(cm=1)))
-    return AlgebraPresentation(
-        name="wittq",
-        mode="lie",
-        families=[Family("L", 0, "all")],
-        brackets={("L", "L"): [BracketTerm(_QNM_DIFF, "L", 0)]},
-        alphas={"L": AlphaRule(alpha, "L")},
-    )
-
-
-def _wittsuperq():
-    # Even family L, odd family G; the L-G coefficient is {n+1} - {m} with m
-    # the L index and n the G index; the odd twist coefficient is 1 + q^(m+1).
-    coeff_lg = ce.sub(ce.qnm(ce.affine(cn=1, c=1)), ce.qnm(ce.affine(cm=1)))
-    alpha_l = ce.add(ce.num(1), ce.q_to(ce.affine(cm=1)))
-    alpha_g = ce.add(ce.num(1), ce.q_to(ce.affine(cm=1, c=1)))
-    return AlgebraPresentation(
-        name="wittsuperq",
-        mode="super",
-        families=[Family("L", 0, "all"), Family("G", 1, "all")],
-        brackets={
-            ("L", "L"): [BracketTerm(_QNM_DIFF, "L", 0)],
-            ("L", "G"): [BracketTerm(coeff_lg, "G", 0)],
-        },
-        alphas={
-            "L": AlphaRule(alpha_l, "L"),
-            "G": AlphaRule(alpha_g, "G"),
-        },
-    )
-
-
-def _example49():
-    # Three-dimensional superalgebra; the field indeterminate plays the role
-    # of the nonzero scale in its structure constants.
-    lam = ce.q_to(ce.affine(c=1))
-    lam2 = ce.q_to(ce.affine(c=2))
-    return AlgebraPresentation(
-        name="example49",
-        mode="super",
-        families=[Family("x1", 0, None), Family("x2", 0, None), Family("y", 1, None)],
-        brackets={
-            ("x1", "x2"): [BracketTerm(lam2, "x1", 0)],
-            ("x2", "y"): [BracketTerm(ce.mul(ce.num(Fraction(-1, 2)), lam), "y", 0)],
-            ("y", "y"): [BracketTerm(lam2, "x1", 0)],
-        },
-        alphas={
-            "x1": AlphaRule(lam2, "x1"),
-            "x2": AlphaRule(ce.num(1), "x2"),
-            "y": AlphaRule(lam, "y"),
-        },
-    )
-
-
-_BUILTINS = {
-    "w22q": _w22q,
-    "wittq": _wittq,
-    "wittsuperq": _wittsuperq,
-    "example49": _example49,
-}
-
-BUILTIN_NAMES = tuple(_BUILTINS)
-
-
+@cache
 def builtin(name):
-    """One of the shipped presentations: w22q, wittq, wittsuperq, example49."""
-    try:
-        make = _BUILTINS[name]
-    except KeyError:
-        raise UnknownBuiltin(name) from None
-    return make()
+    """One of the shipped presentations: w22q, wittq, wittsuperq, example49.
+
+    Each is parsed from `data/<name>.alg` once per process; the result is
+    shared, which is safe because a presentation changes only its memos.
+    """
+    if name not in BUILTIN_NAMES:
+        raise UnknownBuiltin(name)
+    from . import dsl  # dsl imports this module
+
+    return dsl.parse(files(__package__).joinpath("data", f"{name}.alg").read_text("utf-8"))

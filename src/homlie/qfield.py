@@ -323,7 +323,7 @@ def _strip(v):
 
 def _int_primitive(v):
     # v: nonempty int list -> content-free with positive leading coefficient
-    c = reduce(_igcd, (x for x in v if x))
+    c = reduce(_igcd, v, 0)
     if v[-1] < 0:
         c = -c
     if c != 1:
@@ -353,6 +353,46 @@ def _int_pseudo_mod(x, y):
     return _strip(r)
 
 
+def _int_gcd(x, y):
+    """Gcd of two nonzero stripped integer lists, primitive with a positive
+    leading coefficient, by the primitive polynomial remainder sequence."""
+    x, y = _int_primitive(x), _int_primitive(y)
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _int_pseudo_mod(x, y)
+        if not r:
+            return y
+        x, y = y, _int_primitive(r)
+    return [1]
+
+
+def _int_divexact(x, y):
+    """Quotient of integer lists x / y, y stripped; None when a quotient
+    coefficient is not an integer.  Raises ValueError when y does not divide x."""
+    x = x[:]
+    dq = len(x) - len(y)
+    if dq < 0:
+        raise ValueError("not divisible")
+    quot = [0] * (dq + 1)
+    ly = y[-1]
+    while x and len(x) >= len(y):
+        if not x[-1]:
+            x.pop()
+            continue
+        f, rem = divmod(x[-1], ly)
+        if rem:
+            return None
+        off = len(x) - len(y)
+        quot[off] = f
+        for i in range(len(y)):
+            x[off + i] -= f * y[i]
+        _strip(x)
+    if x:
+        raise ValueError("not divisible")
+    return quot
+
+
 def poly_gcd(a, b):
     """Gcd over Q[q] of two Laurent polynomials, up to units.
 
@@ -363,23 +403,12 @@ def poly_gcd(a, b):
         return _primitive(b.shift(-b.min_exp)) if not b.is_zero else _P0
     if b.is_zero:
         return _primitive(a.shift(-a.min_exp))
-    a = _primitive(a.shift(-a.min_exp))
-    b = _primitive(b.shift(-b.min_exp))
-    x = _to_dense(a, int)
-    y = _to_dense(b, int)
-    # primitive polynomial remainder sequence over the integers
-    while y:
-        if len(x) < len(y):
-            x, y = y, x
-            continue
-        r = _int_pseudo_mod(x, y)
-        if r:
-            r = _int_primitive(r)
-        x, y = y, r
-    x = _int_primitive(x)
-    if x[0] < 0:
-        x = [-c for c in x]
-    return _from_dense(x)
+    x = _to_dense(_primitive(a.shift(-a.min_exp)), int)
+    y = _to_dense(_primitive(b.shift(-b.min_exp)), int)
+    g = _int_gcd(x, y)
+    if g[0] < 0:
+        g = [-c for c in g]
+    return _from_dense(g)
 
 
 def poly_divexact(a, b):
@@ -390,32 +419,10 @@ def poly_divexact(a, b):
         return _P0
     sa, sb = a.min_exp, b.min_exp
     if a.is_integral() and b.is_integral():
-        x = _to_dense(a.shift(-sa), int)
-        y = _to_dense(b.shift(-sb), int)
-        dq = len(x) - len(y)
-        if dq < 0:
-            raise ValueError("not divisible")
-        quot = [0] * (dq + 1)
-        ly = y[-1]
-        integral = True
-        while x and len(x) >= len(y):
-            if not x[-1]:
-                x.pop()
-                continue
-            f, rem = divmod(x[-1], ly)
-            if rem:
-                # quotient has non-integer coefficients; retry over Q
-                integral = False
-                break
-            off = len(x) - len(y)
-            quot[off] = f
-            for i in range(len(y)):
-                x[off + i] -= f * y[i]
-            _strip(x)
-        if integral:
-            if x:
-                raise ValueError("not divisible")
+        quot = _int_divexact(_to_dense(a.shift(-sa), int), _to_dense(b.shift(-sb), int))
+        if quot is not None:
             return _from_dense(quot).shift(sa - sb)
+        # the quotient has non-integer coefficients; divide over Q
     x = _to_dense(a.shift(-sa))
     y = _to_dense(b.shift(-sb))
     dq = len(x) - len(y)

@@ -45,7 +45,16 @@ from .identities import (
     linear_instances,
 )
 from .maps import BilinearMap, LinearMap
-from .qfield import _P1, LaurentPoly, QRational, poly_divexact, poly_gcd
+from .qfield import (
+    _P1,
+    LaurentPoly,
+    QRational,
+    _int_divexact,
+    _int_gcd,
+    _int_primitive,
+    poly_divexact,
+    poly_gcd,
+)
 
 Q0 = QRational(0)
 Q1 = QRational(1)
@@ -244,11 +253,6 @@ def build_ansatz(p, kind, cls, s=0, parity=0, window=None, k=1):
     return HomogeneousAnsatz(p, kind, cls, (s,), parity, window, k=k)
 
 
-def build_sum_ansatz(p, kind, cls, degrees, parity=0, window=None, k=1):
-    """Direct-sum ansatz covering several degree shifts at once."""
-    return HomogeneousAnsatz(p, kind, cls, tuple(degrees), parity, window, k=k)
-
-
 @dataclass
 class ConstraintSystem:
     """Sparse exact linear system over the ansatz unknowns."""
@@ -260,6 +264,23 @@ class ConstraintSystem:
     @property
     def nunknowns(self):
         return len(self.ansatz.slots)
+
+
+def _instance_rows(stream):
+    """(eq id, inputs, target generator, {slot id: value}) for each nonzero
+    component of lhs - rhs of each identity instance in the stream."""
+    for eq_id, inputs, lhs, rhs in stream:
+        diff = lhs
+        for g, form in rhs.items():
+            f0 = diff.get(g)
+            f0 = -form if f0 is None else f0 - form
+            if f0.is_zero:
+                diff.pop(g, None)
+            else:
+                diff[g] = f0
+        for g, form in diff.items():
+            if not form.is_zero:
+                yield eq_id, inputs, g, form.c
 
 
 def _generic_rows(p, ansatz):
@@ -275,18 +296,7 @@ def _generic_rows(p, ansatz):
             p, ansatz.cls, window, ansatz.unknown_evaluator(), ansatz.parity,
             k=ansatz.k, fast=True,
         )
-    for eq_id, inputs, lhs, rhs in stream:
-        diff = lhs
-        for g, form in rhs.items():
-            f0 = diff.get(g)
-            f0 = -form if f0 is None else f0 - form
-            if f0.is_zero:
-                diff.pop(g, None)
-            else:
-                diff[g] = f0
-        for g, form in diff.items():
-            if not form.is_zero:
-                yield (eq_id, inputs, g, form.c)
+    return _instance_rows(stream)
 
 
 def build_system(p, ansatz, window=None, _generic=False):
@@ -331,20 +341,7 @@ def single_instance_rows(p, ansatz, inputs):
         p, ansatz.cls, ansatz.window, ansatz.unknown_evaluator(), ansatz.parity,
         fast=True, only=tuple(inputs),
     )
-    out = {}
-    for eq_id, ins, lhs, rhs in stream:
-        diff = lhs
-        for g, form in rhs.items():
-            f0 = diff.get(g)
-            f0 = -form if f0 is None else f0 - form
-            if f0.is_zero:
-                diff.pop(g, None)
-            else:
-                diff[g] = f0
-        for g, form in diff.items():
-            if not form.is_zero:
-                out[(eq_id, g)] = dict(form.c)
-    return out
+    return {(eq_id, g): dict(row) for eq_id, _, g, row in _instance_rows(stream)}
 
 
 def _uses_fast_rows(p, ansatz):
@@ -682,10 +679,10 @@ def _introw_of(values):
             j: {e: int(c * mul) for e, c in pol.items()}
             for j, pol in entries.items()
         }
-    return _normalize_row(entries, strip=False)
+    return _normalize_row(entries, strip=None)
 
 
-# dense integer polynomial kernels for row normalization
+# dense integer polynomial rows: {col: (lowest exponent, coefficient list)}
 
 
 def _dense_of(pol):
@@ -696,102 +693,6 @@ def _dense_of(pol):
     return lo, out
 
 
-def _dense_strip(v):
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _dense_primitive(v):
-    c = 0
-    for x in v:
-        if x:
-            c = _igcd(c, x)
-    if v[-1] < 0:
-        c = -c
-    if c != 1:
-        v = [x // c for x in v]
-    return v
-
-
-def _dense_pseudo_mod(x, y):
-    dy = len(y) - 1
-    ly = y[-1]
-    r = x[:]
-    while len(r) - 1 >= dy:
-        if not r[-1]:
-            r.pop()
-            continue
-        f = r[-1]
-        off = len(r) - 1 - dy
-        for i in range(len(r)):
-            r[i] *= ly
-        for i in range(dy + 1):
-            r[off + i] -= f * y[i]
-        r.pop()
-        _dense_strip(r)
-        if not r:
-            break
-    return _dense_strip(r)
-
-
-def _dense_gcd(x, y):
-    # subresultant remainder sequence; content is stripped only at the ends
-    x = _dense_primitive(_dense_strip(x[:]))
-    y = _dense_primitive(_dense_strip(y[:]))
-    if len(x) < len(y):
-        x, y = y, x
-    g = 1
-    h = 1
-    while True:
-        delta = len(x) - len(y)
-        r = _dense_pseudo_mod(x, y)
-        if not r:
-            return _dense_primitive(y)
-        if len(r) == 1:
-            return [1]
-        # scale the remainder down; any exact common divisor keeps the chain
-        # a valid remainder sequence, the subresultant factor merely bounds
-        # coefficient growth
-        div = g * h ** delta
-        if div in (1, -1):
-            nxt = r if div == 1 else [-c for c in r]
-        else:
-            nxt = []
-            for c in r:
-                q, rem = divmod(c, div)
-                if rem:
-                    nxt = _dense_primitive(r)
-                    break
-                nxt.append(q)
-        x, y = y, nxt
-        g = x[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1) or 1
-
-
-def _dense_divexact(x, y):
-    # exact division of integer lists by a primitive divisor
-    x = x[:]
-    quot = [0] * (len(x) - len(y) + 1)
-    ly = y[-1]
-    while x and len(x) >= len(y):
-        if not x[-1]:
-            x.pop()
-            continue
-        f = x[-1] // ly
-        off = len(x) - len(y)
-        quot[off] = f
-        for i in range(len(y)):
-            x[off + i] -= f * y[i]
-        _dense_strip(x)
-    if x:
-        raise ArithmeticError("inexact row content division")
-    return quot
-
-
 def _dense_eval_at(d, x):
     acc = 0
     for c in reversed(d):
@@ -799,8 +700,25 @@ def _dense_eval_at(d, x):
     return acc
 
 
+def _strip_common_factor(dense):
+    """Divide the entries of a dense row by their gcd."""
+    g = None
+    for _, d in dense.values():
+        g = _int_primitive(d) if g is None else _int_gcd(g, d)
+        if len(g) == 1:
+            return dense
+    return {j: (lo, _int_divexact(d, g)) for j, (lo, d) in dense.items()}
+
+
 def _strip_poly_content(dense):
-    """Remove a common polynomial factor from {col: (lo, dense)} in place."""
+    """`_strip_common_factor`, skipped when the entries' values at q = 2 or at
+    q = 3, each divided by its integer content, are coprime.
+
+    The skip is a cheap filter for elimination rows, where a factor left in
+    costs only time.  It misses a common factor whose value at 2 or 3 is
+    +-1, such as q - 1, so canonical vectors strip with
+    `_strip_common_factor` itself.
+    """
     probe2 = 0
     probe3 = 0
     for _, d in dense.values():
@@ -812,20 +730,15 @@ def _strip_poly_content(dense):
                 cj = _igcd(cj, c)
         probe2 = _igcd(probe2, _dense_eval_at(d, 2) // cj)
         probe3 = _igcd(probe3, _dense_eval_at(d, 3) // cj)
-    # values at q = 2 and q = 3 share a factor; the gcd may be nontrivial
-    g = None
-    for _, d in dense.values():
-        if g is None:
-            g = _dense_primitive(d[:])
-        elif len(g) > 1:
-            g = _dense_gcd(g, d)
-    if g is not None and len(g) > 1:
-        dense = {j: (lo, _dense_divexact(d, g)) for j, (lo, d) in dense.items()}
-    return dense
+    return _strip_common_factor(dense)
 
 
-def _normalize_row(entries, strip=True):
-    """Divide by common polynomial/monomial/integer content; fix the sign."""
+def _normalize_row(entries, strip=_strip_poly_content):
+    """Divide by common polynomial/monomial/integer content; fix the sign.
+
+    `strip` removes the polynomial content of the dense entries (None keeps
+    it); the sign makes the lowest coefficient of the first column positive.
+    """
     if len(entries) == 1:
         # a single nonzero coefficient forces its unknown to vanish
         (j,) = entries
@@ -833,8 +746,8 @@ def _normalize_row(entries, strip=True):
     dense = {}
     for j, pol in entries.items():
         dense[j] = _dense_of(pol)
-    if strip:
-        dense = _strip_poly_content(dense)
+    if strip is not None:
+        dense = strip(dense)
     shift = min(lo for lo, _ in dense.values())
     ic = 0
     for _, d in dense.values():
@@ -1037,55 +950,18 @@ class SolutionSpace:
         return [map_from_assignment(self.ansatz, vec) for vec in self.basis]
 
 
-def _vec_normalize(vec):
-    """Scale a slot vector to primitive integer form with a canonical sign."""
-    if not vec:
-        return vec
-    dens = [v.den for v in vec.values() if v.den != _P1]
-    if dens:
-        lcm = reduce(_poly_lcm, dens)
-        vec = {k: v * QRational._trusted(lcm, _P1) for k, v in vec.items()}
-    entries = {}
-    mul = 1
-    for k, v in vec.items():
-        pol = dict(v.num._t)
-        entries[k] = pol
-        for c in pol.values():
-            if isinstance(c, Fraction):
-                mul = mul * c.denominator // _igcd(mul, c.denominator)
-    if mul != 1:
-        entries = {k: {e: int(c * mul) for e, c in pol.items()} for k, pol in entries.items()}
-    g = None
-    for pol in entries.values():
-        p = LaurentPoly._raw(dict(pol))
-        g = p if g is None else poly_gcd(g, p)
-        if len(g) == 1:
-            g = None
-            break
-    if g is not None and len(g) > 1:
-        entries = {k: dict(poly_divexact(LaurentPoly._raw(dict(pol)), g)._t)
-                   for k, pol in entries.items()}
-    shift = min(min(pol) for pol in entries.values())
-    ic = 0
-    for pol in entries.values():
-        for c in pol.values():
-            ic = _igcd(ic, c)
-    return entries, shift, ic
-
-
 def _vec_canonical(ansatz, vec):
+    """The primitive integer multiple of a slot vector: its polynomial,
+    monomial and integer content removed and its sign fixed as in
+    `_normalize_row`, so vectors on one line over Q(q) give the same dict."""
     if not vec:
         return {}
-    entries, shift, ic = _vec_normalize(vec)
-    first = min(vec, key=lambda k: ansatz.index[k])
-    pol0 = entries[first]
-    if pol0[min(pol0)] < 0:
-        ic = -ic
+    index = ansatz.index
+    row = _introw_of({index[k]: v for k, v in vec.items()})
+    slots = ansatz.slots
     return {
-        k: QRational._trusted(
-            LaurentPoly._raw({e - shift: c // ic for e, c in pol.items()}), _P1
-        )
-        for k, pol in entries.items()
+        slots[j]: QRational._trusted(LaurentPoly._raw(pol), _P1)
+        for j, pol in _normalize_row(row, _strip_common_factor).items()
     }
 
 
@@ -1239,10 +1115,6 @@ def span_rank(vectors):
     return len(reduce_span(vectors))
 
 
-def in_span(vec, vectors):
-    return span_rank(list(vectors)) == span_rank(list(vectors) + [vec])
-
-
 def express_in_span(vec, vectors):
     """Coefficients writing vec as a combination of vectors, or None."""
     aug = []
@@ -1288,12 +1160,21 @@ def express_in_span(vec, vectors):
 
 
 def _satisfies(row, idvec):
-    acc = Q0
+    """Whether the vector {col: QRational} satisfies the row exactly.
+
+    Both must hold Laurent polynomials over the shared unit denominator, as
+    system rows and canonical vectors do; the products are summed as
+    Laurent dicts.
+    """
+    acc = {}
     for j, c in row.items():
         v = idvec.get(j)
         if v is not None:
-            acc = acc + c * v
-    return acc.is_zero
+            if c.den is not _P1 or v.den is not _P1:
+                raise ValueError("_satisfies needs entries over the unit denominator")
+            for e, x in _pmul(c.num._t, v.num._t).items():
+                acc[e] = acc.get(e, 0) + x
+    return not any(acc.values())
 
 
 def restrict_space(space, small_ansatz):

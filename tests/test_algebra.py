@@ -1,9 +1,12 @@
 import random
+import re
+from importlib.resources import files
 
 import pytest
 
 from homlie import coeffexpr as ce
 from homlie.algebra import (
+    BUILTIN_NAMES,
     AlgebraPresentation,
     AlphaRule,
     BracketTerm,
@@ -32,9 +35,71 @@ def test_w22q_trivial_bracket(w22q):
     assert out == vec(w22q, "L", 3)  # coefficient [2-1] = 1
 
 
-def test_w22q_mixed_bracket_oracle(w22q):
-    out = w22q.bracket(vec(w22q, "L", 0), vec(w22q, "W", 3))
-    assert out.get(w22q.generator("W", 3)) == qbracket(3)
+# The structure constants of the built-ins, written out from their formulas:
+# (family, family) -> (m, n) -> (target family, coefficient) for the bracket of
+# the two generators of degrees m and n, mirrored and super-skew pairs
+# included; pairs not listed bracket to 0.  Unindexed families get m = n = 0.
+BRACKET_ORACLE = {
+    "w22q": {
+        ("L", "L"): lambda m, n: ("L", qbracket(n - m)),
+        ("L", "W"): lambda m, n: ("W", qbracket(n - m)),
+        ("W", "L"): lambda m, n: ("W", -qbracket(m - n)),
+    },
+    "wittq": {
+        ("L", "L"): lambda m, n: ("L", qbrace(n) - qbrace(m)),
+    },
+    "wittsuperq": {
+        ("L", "L"): lambda m, n: ("L", qbrace(n) - qbrace(m)),
+        ("L", "G"): lambda m, n: ("G", qbrace(n + 1) - qbrace(m)),
+        ("G", "L"): lambda m, n: ("G", qbrace(n) - qbrace(m + 1)),
+    },
+    "example49": {
+        ("x1", "x2"): lambda m, n: ("x1", qpow(2)),
+        ("x2", "x1"): lambda m, n: ("x1", -qpow(2)),
+        ("x2", "y"): lambda m, n: ("y", -qpow(1) / 2),
+        ("y", "x2"): lambda m, n: ("y", qpow(1) / 2),
+        ("y", "y"): lambda m, n: ("x1", qpow(2)),
+    },
+}
+
+# family -> m -> coefficient of the twist, which keeps the generator
+ALPHA_ORACLE = {
+    "w22q": {"L": lambda m: qpow(m) + qpow(-m), "W": lambda m: qpow(m) + qpow(-m)},
+    "wittq": {"L": lambda m: Q1 + qpow(m)},
+    "wittsuperq": {"L": lambda m: Q1 + qpow(m), "G": lambda m: Q1 + qpow(m + 1)},
+    "example49": {"x1": lambda m: qpow(2), "x2": lambda m: Q1, "y": lambda m: qpow(1)},
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_structure_constant_oracle(name):
+    p = builtin(name)
+    gens = p.gens_in(Window(-3, 3))
+    assert {g.family for g in gens} == set(ALPHA_ORACLE[name])
+    for g1 in gens:
+        m = g1.degree or 0
+        assert dict(p.alpha_gens(g1)) == {g1: ALPHA_ORACLE[name][g1.family](m)}
+        for g2 in gens:
+            n = g2.degree or 0
+            want = {}
+            rule = BRACKET_ORACLE[name].get((g1.family, g2.family))
+            if rule is not None:
+                fam, c = rule(m, n)
+                if not c.is_zero:
+                    degree = None if g1.degree is None else m + n
+                    want[p.generator(fam, degree)] = c
+            assert dict(p.bracket_gens(g1, g2)) == want, (g1, g2)
+
+
+def test_builtin_names_match_shipped_files():
+    data = files("homlie").joinpath("data")
+    stems = {f.name[: -len(".alg")] for f in data.iterdir() if f.name.endswith(".alg")}
+    assert stems == set(BUILTIN_NAMES)
+    for name in BUILTIN_NAMES:
+        text = data.joinpath(f"{name}.alg").read_text("utf-8")
+        assert re.findall(r"^\s*algebra\s+(\w+)\s*;", text, re.M) == [name]
+        assert builtin(name).name == name
+        assert builtin(name) is builtin(name)  # parsed once per process
 
 
 def test_w22q_skew_resolution(w22q):

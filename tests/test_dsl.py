@@ -4,12 +4,6 @@ from homlie import coeffexpr as ce
 from homlie.algebra import Vector, Window, builtin
 from homlie.dsl import ParseError, ValidationError, load, parse, serialize
 
-try:
-    from importlib.resources import files as _files
-except ImportError:  # pragma: no cover
-    _files = None
-
-
 def semantically_equal(p1, p2, window=Window(-6, 6)):
     if p1.mode != p2.mode or list(p1.families) != list(p2.families):
         return False
@@ -27,13 +21,6 @@ def semantically_equal(p1, p2, window=Window(-6, 6)):
 def test_round_trip_of_builtins(name):
     p = builtin(name)
     assert semantically_equal(p, parse(serialize(p)))
-
-
-@pytest.mark.parametrize("name", ["w22q", "wittq", "wittsuperq", "example49"])
-def test_shipped_files_agree_with_builtins(name):
-    path = _files("homlie").joinpath("data", f"{name}.alg")
-    p2 = parse(path.read_text())
-    assert semantically_equal(builtin(name), p2)
 
 
 def test_serialized_wittq_mentions_qnm():

@@ -6,14 +6,13 @@ from homlie.checker import check_bilinear_class, check_linear_class
 from homlie.classify import known_map
 from homlie.dsl import parse
 from homlie.identities import ClassModeMismatch
-from homlie.qfield import QRational
+from homlie.qfield import LaurentPoly, QRational
 from homlie.solver import (
     ConstraintSystem,
+    HomogeneousAnsatz,
     LinForm,
     build_ansatz,
-    build_sum_ansatz,
     build_system,
-    in_span,
     nullspace,
     nullspace_dim_specialized,
     reduce_span,
@@ -458,7 +457,8 @@ def test_wittq_stable_space_is_inner(wittq):
     ansatz = space.ansatz
     inner = ansatz.slot_vector_of_map(known_map("phi_ad", wittq))
     ivec = {ansatz.index[k]: v for k, v in inner.items()}
-    assert in_span(ivec, space.id_vectors())
+    vecs = space.id_vectors()
+    assert span_rank(vecs + [ivec]) == span_rank(vecs)
 
 
 def test_wittq_stable_dim_zero_off_degree(wittq):
@@ -522,7 +522,7 @@ def test_scalar_presentation_solve(example49):
         phi = _example49_phi(p, aa, kk)
         keyed = a.slot_vector_of_map(phi)
         target = {a.index[k]: v for k, v in keyed.items()}
-        assert in_span(target, vecs)
+        assert span_rank(vecs + [target]) == span_rank(vecs)
     for concrete in space.maps():
         assert check_bilinear_class(p, concrete, "alpha_super_biderivation", win).passed
 
@@ -541,9 +541,63 @@ def test_window_solve_decomposes_by_degree(alg, cls, parity):
     for s in degrees:
         a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
         total += nullspace(build_system(p, a)).dim
-    summed = build_sum_ansatz(p, "bilinear", cls, degrees, parity=parity, window=SMALL)
+    summed = HomogeneousAnsatz(p, "bilinear", cls, tuple(degrees), parity, SMALL)
     joint = nullspace(build_system(p, summed))
     assert joint.dim == total
+
+
+# -- row and vector normalization ---------------------------------------------------
+
+
+def test_normalize_row_strips_a_planted_factor():
+    # three entries with no common factor, then each times (1 + q + q^2)(1 - q)
+    plain = {0: {0: 1, 1: 2}, 1: {0: 3, 1: -1, 3: 1}, 2: {-1: 2, 1: 1}}
+    factor = solver._pmul({0: 1, 1: 1, 2: 1}, {0: 1, 1: -1})
+    planted = {j: solver._pmul(pol, factor) for j, pol in plain.items()}
+    expected = {0: {1: 1, 2: 2}, 1: {1: 3, 2: -1, 4: 1}, 2: {0: 2, 2: 1}}
+    assert solver._normalize_row(planted) == expected
+    assert solver._normalize_row(plain) == expected
+
+
+def test_normalize_row_keeps_coprime_entries_with_common_values():
+    # q + 1 and q^2 + 5 are coprime, but their values share 3 at q = 2 and 2 at q = 3
+    row = {0: {0: 1, 1: 1}, 1: {0: 5, 2: 1}}
+    assert solver._normalize_row(row) == row
+
+
+@pytest.mark.parametrize("num,den", [
+    pytest.param({0: -1, 2: -1}, {0: 3, 1: 2}, id="-(q2+1)_over_(2q+3)"),
+    # q - 1 is 1 at q = 2, so the probe in `_normalize_row` would keep it
+    pytest.param({0: -1, 1: 1}, {0: 2, 1: 1}, id="(q-1)_over_(q+2)"),
+])
+@pytest.mark.parametrize("alg,cls,s,parity", [
+    ("wittq", "biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", -1, 1),
+])
+def test_canonical_vector_is_invariant_under_scaling(alg, cls, s, parity, num, den):
+    space = stable_solve(builtin(alg), "bilinear", cls, s=s, parity=parity, window=SMALL)
+    assert space.dim == 1
+    scale = QRational.make(LaurentPoly(num), LaurentPoly(den))
+    for vec in space.basis:
+        scaled = {k: v * scale for k, v in vec.items()}
+        assert solver._vec_canonical(space.ansatz, scaled) == vec
+
+
+def test_exact_check_is_exact_and_needs_unit_denominators(wittq):
+    a = build_ansatz(wittq, "bilinear", "biderivation", s=0, window=SMALL)
+    system = build_system(wittq, a)
+    vecs = nullspace(system).id_vectors()
+    assert vecs
+    for vec in vecs:
+        assert all(solver._satisfies(row, vec) for row in system.rows)
+        j = next(iter(vec))
+        wrong = dict(vec)
+        wrong[j] = vec[j] + Q1
+        assert not all(solver._satisfies(row, wrong) for row in system.rows)
+    row = next(r for r in system.rows if any(j in vecs[0] for j in r))
+    scaled = {j: v / QRational(LaurentPoly({0: 1, 1: 1})) for j, v in vecs[0].items()}
+    with pytest.raises(ValueError, match="unit denominator"):
+        solver._satisfies(row, scaled)
 
 
 # -- utility layer ------------------------------------------------------------------
@@ -553,8 +607,8 @@ def test_span_utilities():
     v1 = {0: Q1, 1: Q1}
     v2 = {1: Q1}
     assert span_rank([v1, v2, {0: Q1}]) == 2
-    assert in_span({0: Q1, 1: QRational(2)}, [v1, v2])
-    assert not in_span({2: Q1}, [v1, v2])
+    assert span_rank([v1, v2, {0: Q1, 1: QRational(2)}]) == 2
+    assert span_rank([v1, v2, {2: Q1}]) == 3
     reduced = reduce_span([v1, v2])
     assert len(reduced) == 2
 
