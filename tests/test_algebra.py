@@ -35,6 +35,11 @@ def test_w22q_trivial_bracket(w22q):
     assert out == vec(w22q, "L", 3)  # coefficient [2-1] = 1
 
 
+def test_w22q_mixed_bracket_oracle(w22q):
+    out = w22q.bracket(vec(w22q, "L", 0), vec(w22q, "W", 3))
+    assert out.get(w22q.generator("W", 3)) == qbracket(3)
+
+
 # The structure constants of the built-ins, written out from their formulas:
 # (family, family) -> (m, n) -> (target family, coefficient) for the bracket of
 # the two generators of degrees m and n, mirrored and super-skew pairs

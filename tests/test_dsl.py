@@ -4,6 +4,12 @@ from homlie import coeffexpr as ce
 from homlie.algebra import Vector, Window, builtin
 from homlie.dsl import ParseError, ValidationError, load, parse, serialize
 
+try:
+    from importlib.resources import files as _files
+except ImportError:  # pragma: no cover
+    _files = None
+
+
 def semantically_equal(p1, p2, window=Window(-6, 6)):
     if p1.mode != p2.mode or list(p1.families) != list(p2.families):
         return False
@@ -21,6 +27,22 @@ def semantically_equal(p1, p2, window=Window(-6, 6)):
 def test_round_trip_of_builtins(name):
     p = builtin(name)
     assert semantically_equal(p, parse(serialize(p)))
+
+
+@pytest.mark.parametrize("name", ["w22q", "wittq", "wittsuperq", "example49"])
+def test_shipped_files_agree_with_builtins(name):
+    # builtin() hands out one cached presentation per process; after use (its
+    # memos filled on a wider window) it must still equal a fresh parse.
+    p = builtin(name)
+    gens = p.gens_in(Window(-8, 8))
+    for g1 in gens:
+        p.alpha(Vector.of(g1))
+        for g2 in gens:
+            p.bracket(Vector.of(g1), Vector.of(g2))
+    path = _files("homlie").joinpath("data", f"{name}.alg")
+    p2 = parse(path.read_text())
+    assert p2 is not p
+    assert semantically_equal(builtin(name), p2)
 
 
 def test_serialized_wittq_mentions_qnm():
