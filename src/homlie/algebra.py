@@ -270,7 +270,6 @@ class AlgebraPresentation:
         exprs = [t.coeff for terms in self.brackets.values() for t in terms]
         exprs += [r.coeff for r in self.alphas.values()]
         self.fast_scalars = all(ce.is_laurent_valued(e) for e in exprs)
-        self.laurent_one = _P1
 
     @property
     def is_super(self):

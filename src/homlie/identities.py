@@ -1,12 +1,10 @@
 """Instance generation for the defining identities of every map class.
 
-The checker and the solver consume the same instance stream so that a
-solution of the generated linear system is, by construction, a map the
-checker accepts on the same window.  Values are dicts generator ->
-coefficient; the coefficient type is the exact field for concrete checks, a
-bare Laurent polynomial on the solver fast path, and a linear form in ansatz
-unknowns for the unknown map itself.  All of them support addition,
-negation and multiplication with the structure-constant scalars.
+The checker evaluates these instance streams on concrete maps.  They are
+also the reference for the solver's row generator (`solver._rows`), which
+writes the same identities directly as linear rows in the map's unknowns:
+the test suite compares the residuals of the two on the same maps.  Values
+are dicts generator -> Q(q) coefficient.
 
 An instance is skipped (OutOfWindow) when it would evaluate the unknown map
 outside the window.  In strict mode, used by the checker, an instance is
@@ -75,21 +73,12 @@ def m_neg(a):
 
 
 class EvalContext:
-    """Evaluation helpers bound to one presentation, window and strictness.
+    """Evaluation helpers bound to one presentation, window and strictness."""
 
-    With fast=True the structure constants are taken as bare Laurent
-    polynomials (available whenever no rule divides by a polynomial), which
-    keeps the hot solver loops off the field wrapper.
-    """
-
-    def __init__(self, p, window, strict, fast=False):
+    def __init__(self, p, window, strict):
         self.p = p
         self.window = window
         self.strict = strict and not p.is_scalar and window is not None
-        fast = fast and p.fast_scalars
-        self.one = p.laurent_one if fast else Q1
-        self.bracket_gens = p.bracket_gens_fast if fast else p.bracket_gens
-        self.alpha_gens = p.alpha_gens_fast if fast else p.alpha_gens
 
     def _guard(self, d):
         if self.strict:
@@ -100,7 +89,7 @@ class EvalContext:
         return d
 
     def bracket(self, u, v):
-        bracket_gens = self.bracket_gens
+        bracket_gens = self.p.bracket_gens
         acc = {}
         for g1, c1 in u.items():
             for g2, c2 in v.items():
@@ -124,7 +113,7 @@ class EvalContext:
         return self._guard(acc)
 
     def alpha(self, u):
-        alpha_gens = self.alpha_gens
+        alpha_gens = self.p.alpha_gens
         acc = {}
         for g1, c1 in u.items():
             for g, r in alpha_gens(g1):
@@ -187,36 +176,28 @@ class EvalContext:
         return self._guard(acc)
 
 
-def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, fast=False,
-                       only=None):
+def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
     """Yield (equation id, inputs, lhs, rhs) for each interior instance.
 
     phi(g1, g2) must return a dict generator -> coefficient and raise
-    OutOfWindow when an argument is not available.  `only` restricts the
-    stream to a single input triple.
+    OutOfWindow when an argument is not available.
     """
     check_class_mode(p, cls)
-    ctx = EvalContext(p, window, strict, fast=fast)
+    ctx = EvalContext(p, window, strict)
     twisted = cls in ("biderivation", "super_biderivation")
-    if only is None:
-        gens = p.gens_in(window)
-        xs = ys = zs = gens
-    else:
-        xs, ys, zs = ([g] for g in only)
-        gens = list(dict.fromkeys(only))
-    one = ctx.one
-    singles = {g: {g: one} for g in gens}
+    gens = p.gens_in(window)
+    singles = {g: {g: Q1} for g in gens}
     alphas = {}
     for g in gens:
         try:
             alphas[g] = ctx.alpha(singles[g])
         except OutOfWindow:
             alphas[g] = None
-    for x in xs:
+    for x in gens:
         sx = singles[x]
         ax = alphas[x]
         neg_phix = phi_parity and x.parity
-        for y in ys:
+        for y in gens:
             sy = singles[y]
             ay = alphas[y]
             neg_phixy = ((phi_parity + x.parity) % 2) and y.parity
@@ -225,7 +206,7 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, fast=False
             except OutOfWindow:
                 bxy = None
             eq1_ready = bxy is not None and ax is not None and ay is not None
-            for z in zs:
+            for z in gens:
                 sz = singles[z]
                 az = alphas[z]
                 # first identity: phi([x,y], T z) vs
@@ -257,14 +238,14 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, fast=False
                         pass
 
 
-def linear_instances(p, cls, window, f, f_parity, k=1, strict=False, fast=False):
+def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
     """Yield identity instances for a linear map class over window pairs."""
     check_class_mode(p, cls)
     if cls == "alpha_k_derivation" and k < 0:
         raise ValueError("twist power must be nonnegative")
-    ctx = EvalContext(p, window, strict, fast=fast)
+    ctx = EvalContext(p, window, strict)
     gens = p.gens_in(window)
-    singles = {g: {g: ctx.one} for g in gens}
+    singles = {g: {g: Q1} for g in gens}
     if cls == "commuting_map":
         for x in gens:
             sx = singles[x]

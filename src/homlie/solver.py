@@ -3,7 +3,9 @@
 Unknowns are the coefficients of a degree- and parity-homogeneous bilinear or
 linear map over a window; the defining identities of the requested class,
 instantiated on every interior input tuple, yield a sparse linear system over
-Q(q).  The system is solved exactly: rows are cleared to primitive integer
+Q(q).  One generator, `_rows`, writes those rows for every class and
+presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
+The system is solved exactly: rows are cleared to primitive integer
 Laurent rows, reduced by fraction-free elimination with per-row content
 removal, and the nullspace basis is produced by back-substitution.
 
@@ -22,8 +24,9 @@ window nullspace can exceed the true solution space.  `stable_solve` filters
 it by solving again on an enlarged window and keeping the restrictions, which
 is the finite stand-in for a solution defined on the whole graded algebra.
 When the window space is already 0 it returns at once: the restrictions must
-satisfy the window system, so they can only be zero.  For bilinear classes a
-rank computed modulo the same prime proves that before any exact solve.
+satisfy the window system, so they can only be zero.  On graded
+presentations a rank computed modulo the same prime proves that before any
+exact solve.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from math import gcd as _igcd
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Generator, Vector, Window
-from .identities import (
-    ClassModeMismatch,
-    OutOfWindow,
-    bilinear_instances,
-    check_class_mode,
-    linear_instances,
-)
+from .identities import ClassModeMismatch, OutOfWindow, check_class_mode
 from .maps import BilinearMap, LinearMap
 from .qfield import (
     _P1,
@@ -60,48 +57,6 @@ Q0 = QRational(0)
 Q1 = QRational(1)
 
 _EQ_ORDER = {"eq1": 0, "eq2": 1, "eq": 0, "commute": 0, "twist-commute": 1}
-
-
-class LinForm:
-    """Sparse linear form in ansatz unknowns with field coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    @property
-    def is_zero(self):
-        return not self.c
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for j, v in other.c.items():
-            v0 = out.get(j)
-            if v0 is None:
-                out[j] = v
-            else:
-                v0 = v0 + v
-                if v0.is_zero:
-                    del out[j]
-                else:
-                    out[j] = v0
-        return LinForm(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LinForm({j: -v for j, v in self.c.items()})
-
-    def __mul__(self, r):
-        if not isinstance(r, (QRational, LaurentPoly)):
-            return NotImplemented
-        if r.is_zero:
-            return LinForm({})
-        return LinForm({j: v * r for j, v in self.c.items()})
-
-    __rmul__ = __mul__
 
 
 class HomogeneousAnsatz:
@@ -181,48 +136,6 @@ class HomogeneousAnsatz:
     def __len__(self):
         return len(self.slots)
 
-    def unknown_evaluator(self):
-        """The formal map feeding identity instances: inputs in the window
-        produce unit linear forms in the matching slots."""
-        p = self.p
-        window = self.window
-        scalar = p.is_scalar
-        index = self.index
-        targets = self._targets
-        fam_parity = {f.name: f.parity for f in p.families.values()}
-        degrees = self.degrees
-        one = p.laurent_one if p.fast_scalars else Q1
-        if self.kind == "bilinear":
-            def phi(g1, g2):
-                if not scalar and not (
-                    window.contains(g1.degree) and window.contains(g2.degree)
-                ):
-                    raise OutOfWindow
-                out = {}
-                for tf in targets[(g1.parity + g2.parity) % 2]:
-                    par = fam_parity[tf]
-                    for s in degrees:
-                        td = None if scalar else g1.degree + g2.degree + s
-                        j = index[(g1.family, g1.degree, g2.family, g2.degree, tf, td)]
-                        out[Generator(tf, td, par)] = LinForm({j: one})
-                return out
-
-            return phi
-
-        def f(g):
-            if not scalar and not window.contains(g.degree):
-                raise OutOfWindow
-            out = {}
-            for tf in targets[g.parity]:
-                par = fam_parity[tf]
-                for s in degrees:
-                    td = None if scalar else g.degree + s
-                    j = index[(g.family, g.degree, tf, td)]
-                    out[Generator(tf, td, par)] = LinForm({j: one})
-            return out
-
-        return f
-
     def slot_vector_of_map(self, concrete):
         """Coordinates of a concrete map in this ansatz's slots."""
         out = {}
@@ -259,55 +172,17 @@ class ConstraintSystem:
 
     ansatz: HomogeneousAnsatz
     rows: List[Dict[int, QRational]] = field(default_factory=list)
-    provenance: List[Tuple[str, tuple, Generator]] = field(default_factory=list)
 
     @property
     def nunknowns(self):
         return len(self.ansatz.slots)
 
 
-def _instance_rows(stream):
-    """(eq id, inputs, target generator, {slot id: value}) for each nonzero
-    component of lhs - rhs of each identity instance in the stream."""
-    for eq_id, inputs, lhs, rhs in stream:
-        diff = lhs
-        for g, form in rhs.items():
-            f0 = diff.get(g)
-            f0 = -form if f0 is None else f0 - form
-            if f0.is_zero:
-                diff.pop(g, None)
-            else:
-                diff[g] = f0
-        for g, form in diff.items():
-            if not form.is_zero:
-                yield eq_id, inputs, g, form.c
-
-
-def _generic_rows(p, ansatz):
-    """Raw rows from the shared identity-instance stream."""
-    window = ansatz.window
-    if ansatz.kind == "bilinear":
-        stream = bilinear_instances(
-            p, ansatz.cls, window, ansatz.unknown_evaluator(), ansatz.parity,
-            fast=True,
-        )
-    else:
-        stream = linear_instances(
-            p, ansatz.cls, window, ansatz.unknown_evaluator(), ansatz.parity,
-            k=ansatz.k, fast=True,
-        )
-    return _instance_rows(stream)
-
-
-def build_system(p, ansatz, window=None, _generic=False):
+def build_system(p, ansatz):
     """Instantiate the class identities over all interior tuples."""
-    if window is not None and window != ansatz.window:
-        raise ValueError("ansatz was built for a different window")
-    use_fast = not _generic and _uses_fast_rows(p, ansatz)
-    stream = _fast_bilinear_rows(p, ansatz) if use_fast else _generic_rows(p, ansatz)
     p_key = p.gen_sort_key
     raw = sorted(
-        stream,
+        _rows(p, ansatz),
         key=lambda r: (
             _EQ_ORDER.get(r[0], 9),
             tuple(p_key(g) for g in r[1]),
@@ -316,7 +191,7 @@ def build_system(p, ansatz, window=None, _generic=False):
     )
     sys = ConstraintSystem(ansatz)
     seen = set()
-    for eq_id, inputs, gen, values in raw:
+    for _, _, _, values in raw:
         row = _introw_of(values)
         if row is None:
             continue
@@ -327,67 +202,81 @@ def build_system(p, ansatz, window=None, _generic=False):
         sys.rows.append(
             {j: QRational._trusted(LaurentPoly._raw(pol), _P1) for j, pol in row.items()}
         )
-        sys.provenance.append((eq_id, inputs, gen))
     return sys
 
 
 def single_instance_rows(p, ansatz, inputs):
     """Rows generated by one identity instance: {(eq id, target gen): row}.
 
-    Rows come back as {slot id: QRational} without content normalization,
+    Rows come back as {slot id: coefficient} without content normalization,
     which keeps exact linear relations between them intact.
     """
-    stream = bilinear_instances(
-        p, ansatz.cls, ansatz.window, ansatz.unknown_evaluator(), ansatz.parity,
-        fast=True, only=tuple(inputs),
-    )
-    return {(eq_id, g): dict(row) for eq_id, _, g, row in _instance_rows(stream)}
+    return {(eq_id, g): row for eq_id, _, g, row in _rows(p, ansatz, only=tuple(inputs))}
 
 
-def _uses_fast_rows(p, ansatz):
-    return ansatz.kind == "bilinear" and not p.is_scalar and p.fast_scalars
+def _rows(p, ansatz, prime=None, point=None, only=None):
+    """(eq id, inputs, target generator, {slot id: coefficient}) for each
+    nonzero component of lhs - rhs of each identity instance of the ansatz's
+    class on its window.
 
-
-def _fast_bilinear_rows(p, ansatz, prime=None, point=None):
-    """Direct row construction for bilinear classes on graded presentations.
-
-    Produces exactly the rows of the generic instance stream (asserted by the
-    test suite) without building intermediate symbolic vectors.  Given a
-    `prime`, the structure constants are their images under q -> `point` in
-    F_prime (see `_mod_p_tables`) and each row entry is reduced to a residue,
-    so the rows are the images of the Laurent rows.
+    The instances and signs are those of `identities.bilinear_instances` and
+    `linear_instances`, which the test suite compares this stream against;
+    an instance is skipped when it would evaluate the unknown map outside
+    the window.  Coefficients come from the presentation's structure-constant
+    tables: bare Laurent polynomials when `p.fast_scalars`, Q(q) elements
+    otherwise, and, given a `prime`, their images under q -> `point` in
+    F_prime (see `_mod_p_tables`), with each row entry reduced to a residue.
+    `only` restricts the stream to one input tuple.
     """
-    window = ansatz.window
-    gens = p.gens_in(window)
-    twisted = ansatz.cls in ("biderivation", "super_biderivation")
-    phi_parity = ansatz.parity
-    degrees = ansatz.degrees
+    cls = ansatz.cls
+    scalar = p.is_scalar
     index = ansatz.index
     targets = ansatz._targets
+    degrees = ansatz.degrees
+    contains = ansatz.window.contains
     fam_parity = {f.name: f.parity for f in p.families.values()}
-    if prime is None:
-        bfast = p.bracket_gens_fast
-        afast = p.alpha_gens_fast
-
-        def nonzero(row):
-            return {j: c for j, c in row.items() if c}
+    if prime is not None:
+        bracket, alpha = _mod_p_tables(p, prime, point)
+    elif p.fast_scalars:
+        bracket, alpha = p.bracket_gens_fast, p.alpha_gens_fast
     else:
-        bfast, afast = _mod_p_tables(p, prime, point)
+        bracket, alpha = p.bracket_gens, p.alpha_gens
+    if only is None:
+        gens = p.gens_in(ansatz.window)
+        axes = (gens, gens, gens)
+    else:
+        gens = list(dict.fromkeys(only))
+        axes = tuple([g] for g in only)
 
-        def nonzero(row):
-            return {j: r for j, c in row.items() if (r := c % prime)}
-    contains = window.contains
-    alpha1 = {}
-    for g in gens:
-        t = afast(g)
-        alpha1[g] = t[0] if t else None
-    # pairwise brackets with an in-window flag for the unknown-map arguments
-    btab = {}
-    for g1 in gens:
-        for g2 in gens:
-            bv = bfast(g1, g2)
-            ok = all(contains(g.degree) for g, _ in bv)
-            btab[(g1, g2)] = (bv, ok)
+    def in_window(terms):
+        return scalar or all(contains(g.degree) for g, _ in terms)
+
+    def twist_power(g, k):
+        # alpha^k(g) as (generator, coefficient), None when it is 0; alpha
+        # maps a generator to one term, so alpha^k is one product
+        c = 1
+        for _ in range(k):
+            t = alpha(g)
+            if not t:
+                return None
+            g, a = t[0]
+            c = c * a
+        return g, c
+
+    slot_cache = {}
+
+    def slots(args):
+        # (slot id, target generator) of each unknown coefficient at args
+        out = slot_cache.get(args)
+        if out is None:
+            key = tuple(v for g in args for v in (g.family, g.degree))
+            base = None if scalar else sum(g.degree for g in args)
+            out = slot_cache[args] = tuple(
+                (index[key + (tf, td)], Generator(tf, td, fam_parity[tf]))
+                for tf in targets[sum(g.parity for g in args) % 2]
+                for td in ((None,) if scalar else (base + s for s in degrees))
+            )
+        return out
 
     def put(acc, gen, j, c):
         row = acc.get(gen)
@@ -404,87 +293,126 @@ def _fast_bilinear_rows(p, ansatz, prime=None, point=None):
             else:
                 row[j] = c0
 
-    def phi_put(acc, g1, g2, c, sign):
-        # contributions of c * phi(g1, g2), sign -1 on right-hand terms
-        if sign < 0:
-            c = -c
-        d12 = g1.degree + g2.degree
-        for tf in targets[(g1.parity + g2.parity) % 2]:
-            par = fam_parity[tf]
-            for s in degrees:
-                td = d12 + s
-                j = index[(g1.family, g1.degree, g2.family, g2.degree, tf, td)]
-                put(acc, Generator(tf, td, par), j, c)
+    def put_map(acc, args, c):
+        # contributions of c * phi(args)
+        for j, gen in slots(args):
+            put(acc, gen, j, c)
 
-    def phi_bracket_put(acc, g1, g2, right, c, sign, flip):
-        # contributions of c * [phi(g1,g2), right] (or [right, phi(..)] when
-        # flip is set); right is a concrete generator
-        if sign < 0:
-            c = -c
-        d12 = g1.degree + g2.degree
-        for tf in targets[(g1.parity + g2.parity) % 2]:
-            par = fam_parity[tf]
-            for s in degrees:
-                td = d12 + s
-                j = index[(g1.family, g1.degree, g2.family, g2.degree, tf, td)]
-                mid = Generator(tf, td, par)
-                pair = (right, mid) if flip else (mid, right)
-                for gfin, r in bfast(*pair):
-                    put(acc, gfin, j, c * r)
+    def put_bracket(acc, args, right, c, flip):
+        # contributions of c * [phi(args), right], or c * [right, phi(args)]
+        # when flip is set; right is a concrete generator
+        for j, mid in slots(args):
+            for gfin, r in bracket(right, mid) if flip else bracket(mid, right):
+                put(acc, gfin, j, c * r)
 
-    for x in gens:
-        ax = alpha1[x]
-        neg_phix = phi_parity and x.parity
-        for y in gens:
-            ay = alpha1[y]
-            bxy, bxy_ok = btab[(x, y)]
-            neg_phixy = ((phi_parity + x.parity) % 2) and y.parity
-            for z in gens:
-                az = alpha1[z]
-                # first identity
-                if bxy_ok:
-                    acc = {}
-                    if twisted:
-                        if az is not None:
+    def emit(eq_id, inputs, acc):
+        for gen, row in acc.items():
+            if prime is not None:
+                row = {j: r for j, c in row.items() if (r := c % prime)}
+            if row:
+                yield eq_id, inputs, gen, row
+
+    parity = ansatz.parity
+    if ansatz.kind == "bilinear":
+        twisted = cls in ("biderivation", "super_biderivation")
+        alpha1 = {g: twist_power(g, 1) for g in gens}
+        btab = {}
+        for g1 in gens:
+            for g2 in gens:
+                bv = bracket(g1, g2)
+                btab[g1, g2] = (bv, in_window(bv))
+        xs, ys, zs = axes
+        for x in xs:
+            ax = alpha1[x]
+            neg_phix = parity and x.parity
+            for y in ys:
+                ay = alpha1[y]
+                bxy, bxy_ok = btab[x, y]
+                neg_phixy = ((parity + x.parity) % 2) and y.parity
+                for z in zs:
+                    az = alpha1[z]
+                    # phi([x,y], T z) - (-1)^{|y||z|} [phi(x,z), a y]
+                    #   - (-1)^{|phi||x|} [a x, phi(y,z)], T = a on the
+                    # twisted classes; phi([x,y], 0) needs no window
+                    if bxy_ok or (twisted and az is None):
+                        acc = {}
+                        if not twisted:
+                            for u, cu in bxy:
+                                put_map(acc, (u, z), cu)
+                        elif az is not None:
                             zz, caz = az
                             for u, cu in bxy:
-                                phi_put(acc, u, zz, cu * caz, 1)
-                    else:
-                        for u, cu in bxy:
-                            phi_put(acc, u, z, cu, 1)
-                    if ay is not None:
-                        yy, cay = ay
-                        sgn = -1 if (y.parity and z.parity) else 1
-                        phi_bracket_put(acc, x, z, yy, cay, -sgn, False)
-                    if ax is not None:
-                        xx, cax = ax
-                        phi_bracket_put(acc, y, z, xx, cax, 1 if neg_phix else -1, True)
-                    for gfin, row in acc.items():
-                        row = nonzero(row)
-                        if row:
-                            yield ("eq1", (x, y, z), gfin, row)
-                # second identity
-                byz, byz_ok = btab[(y, z)]
-                if byz_ok:
-                    acc = {}
-                    if twisted:
+                                put_map(acc, (u, zz), cu * caz)
+                        if ay is not None:
+                            yy, cay = ay
+                            sgn = y.parity and z.parity
+                            put_bracket(acc, (x, z), yy, cay if sgn else -cay, False)
                         if ax is not None:
                             xx, cax = ax
+                            put_bracket(acc, (y, z), xx, cax if neg_phix else -cax, True)
+                        yield from emit("eq1", (x, y, z), acc)
+                    # phi(T x, [y,z]) - [phi(x,y), a z]
+                    #   - (-1)^{(|phi|+|x|)|y|} [a y, phi(x,z)]
+                    byz, byz_ok = btab[y, z]
+                    if byz_ok or (twisted and ax is None):
+                        acc = {}
+                        if not twisted:
                             for v, cv in byz:
-                                phi_put(acc, xx, v, cax * cv, 1)
-                    else:
-                        for v, cv in byz:
-                            phi_put(acc, x, v, cv, 1)
-                    if az is not None:
-                        zz, caz = az
-                        phi_bracket_put(acc, x, y, zz, caz, -1, False)
-                    if ay is not None:
-                        yy, cay = ay
-                        phi_bracket_put(acc, x, z, yy, cay, 1 if neg_phixy else -1, True)
-                    for gfin, row in acc.items():
-                        row = nonzero(row)
-                        if row:
-                            yield ("eq2", (x, y, z), gfin, row)
+                                put_map(acc, (x, v), cv)
+                        elif ax is not None:
+                            xx, cax = ax
+                            for v, cv in byz:
+                                put_map(acc, (xx, v), cax * cv)
+                        if az is not None:
+                            zz, caz = az
+                            put_bracket(acc, (x, y), zz, -caz, False)
+                        if ay is not None:
+                            yy, cay = ay
+                            put_bracket(acc, (x, z), yy, cay if neg_phixy else -cay, True)
+                        yield from emit("eq2", (x, y, z), acc)
+        return
+    xs, ys = axes[:2]
+    if cls == "commuting_map":
+        alpha1 = {g: twist_power(g, 1) for g in gens}
+        for x in xs:
+            # f(a x) - a(f(x))
+            acc = {}
+            if alpha1[x] is not None:
+                xx, cax = alpha1[x]
+                put_map(acc, (xx,), cax)
+            for j, gen in slots((x,)):
+                for g, c in alpha(gen):
+                    put(acc, g, j, -c)
+            yield from emit("twist-commute", (x,), acc)
+            for y in ys:
+                # [f(x), y] + [f(y), x], with a minus sign when both are odd
+                acc = {}
+                put_bracket(acc, (x,), y, 1, False)
+                put_bracket(acc, (y,), x, -1 if (x.parity and y.parity) else 1, False)
+                yield from emit("commute", (x, y), acc)
+        return
+    if cls == "alpha_k_derivation" and ansatz.k < 0:
+        raise ValueError("twist power must be nonnegative")
+    twists = {g: twist_power(g, ansatz.k if cls == "alpha_k_derivation" else 0) for g in gens}
+    for x in xs:
+        ax = twists[x]
+        negx = parity and x.parity
+        for y in ys:
+            # f([x,y]) - [f(x), a^k y] - (-1)^{|f||x|} [a^k x, f(y)]
+            bxy = bracket(x, y)
+            if not in_window(bxy):
+                continue
+            acc = {}
+            for u, cu in bxy:
+                put_map(acc, (u,), cu)
+            ay = twists[y]
+            if ay is not None:
+                yy, cay = ay
+                put_bracket(acc, (x,), yy, -cay, False)
+            if ax is not None:
+                xx, cax = ax
+                put_bracket(acc, (y,), xx, cax if negx else -cax, True)
+            yield from emit("eq", (x, y), acc)
 
 
 # -- modular rank certificate ----------------------------------------------
@@ -533,27 +461,35 @@ def _mod_p_value(pol, prime, power):
 
 
 def _mod_p_tables(p, prime, point):
-    """`bracket_gens_fast` and `alpha_gens_fast` of p with F_p coefficients.
+    """`bracket_gens` and `alpha_gens` of p with F_p coefficients.
 
-    Terms whose coefficient vanishes mod p are kept, so the in-window flags
-    of `_fast_bilinear_rows` match the exact ones term for term.
+    A coefficient num/den goes to image(num) * image(den)^-1.  Terms whose
+    coefficient vanishes mod p are kept, so the in-window flags of `_rows`
+    match the exact ones term for term.
     """
     power = _powers_mod_p(prime, point)
 
-    def images(laurent_table):
+    def image(c):
+        num = _mod_p_value(c.num._t, prime, power)
+        if c.den is _P1:
+            return num
+        den = _mod_p_value(c.den._t, prime, power)
+        if not den:
+            raise _Unlucky(f"a denominator vanishes at q = {point} mod {prime}")
+        return num * pow(den, -1, prime) % prime
+
+    def images(exact_table):
         cache = {}
 
         def table(*gens):
             out = cache.get(gens)
             if out is None:
-                out = cache[gens] = tuple(
-                    (g, _mod_p_value(c, prime, power)) for g, c in laurent_table(*gens)
-                )
+                out = cache[gens] = tuple((g, image(c)) for g, c in exact_table(*gens))
             return out
 
         return table
 
-    return images(p.bracket_gens_fast), images(p.alpha_gens_fast)
+    return images(p.bracket_gens), images(p.alpha_gens)
 
 
 def _rows_mod_p(rows, prime, point):
@@ -632,7 +568,7 @@ def _mod_p_nullity(p, ansatz, prime, point):
     """Nullity of the window system's image under q -> point in F_prime, or
     None when a structure constant has no image there."""
     try:
-        rows = [row for _, _, _, row in _fast_bilinear_rows(p, ansatz, prime, point)]
+        rows = [row for _, _, _, row in _rows(p, ansatz, prime, point)]
     except _Unlucky:
         return None
     return len(ansatz.slots) - len(_rank_mod_p(rows, prime))
@@ -1196,16 +1132,17 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     When the window space is 0 the enlarged system is not solved, and
     `raw_enlarged_dim` is None: every restriction satisfies the window
     system, so it is zero, and the stable space is 0 whatever the enlarged
-    space is.  For rows from `_fast_bilinear_rows`, a mod-p nullity of 0
-    proves that without the exact window solve; the space then carries the
-    rank witness.
+    space is.  On a graded presentation a mod-p nullity of 0 (rows from
+    `_rows` over F_p) proves that without the exact window solve; the space
+    then carries the rank witness.  Scalar presentations keep the exact
+    path, which reports `raw_enlarged_dim` as the window dimension.
     """
     if window is None:
         raise ValueError("a window is required")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     ansatz = build_ansatz(p, kind, cls, s=s, parity=parity, window=window, k=k)
-    if delta and _uses_fast_rows(p, ansatz):
+    if delta and not p.is_scalar:
         prime, point = MOD_PRIME, MOD_POINT
         if _mod_p_nullity(p, ansatz, prime, point) == 0:
             return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))

@@ -1,18 +1,32 @@
+import random
+
 import pytest
 
 from homlie import qfield, solver
 from homlie.algebra import Window, builtin
-from homlie.checker import check_bilinear_class, check_linear_class
+from homlie.checker import (
+    _wrap_bilinear,
+    _wrap_linear,
+    check_bilinear_class,
+    check_linear_class,
+)
 from homlie.classify import known_map
 from homlie.dsl import parse
-from homlie.identities import ClassModeMismatch
+from homlie.identities import (
+    BILINEAR_CLASSES,
+    ClassModeMismatch,
+    bilinear_instances,
+    linear_instances,
+    m_add,
+    m_neg,
+)
 from homlie.qfield import LaurentPoly, QRational
 from homlie.solver import (
     ConstraintSystem,
     HomogeneousAnsatz,
-    LinForm,
     build_ansatz,
     build_system,
+    map_from_assignment,
     nullspace,
     nullspace_dim_specialized,
     reduce_span,
@@ -26,15 +40,29 @@ Q1 = QRational(1)
 SMALL = Window(-2, 2)
 
 # bilinear systems at SMALL; both vanishing and nonzero window spaces occur
-DIM_CASES = pytest.mark.parametrize("alg,cls,parity", [
+BILINEAR_DIM_CASES = [
     ("w22q", "biderivation", 0),
     ("w22q", "alpha_biderivation", 0),
     ("wittq", "biderivation", 0),
     ("wittsuperq", "super_biderivation", 0),
     ("wittsuperq", "super_biderivation", 1),
     ("wittsuperq", "alpha_super_biderivation", 1),
-])
+]
+DIM_CASES = pytest.mark.parametrize("alg,cls,parity", BILINEAR_DIM_CASES)
 DIM_DEGREES = pytest.mark.parametrize("s", [-2, 0, 1])
+
+# linear systems at SMALL; only w22q commuting maps at s = 0 have a nonzero
+# window space
+LINEAR_DIM_CASES = [
+    ("w22q", "alpha_k_derivation", 0),
+    ("wittsuperq", "alpha_k_derivation", 1),
+    ("w22q", "commuting_map", 0),
+    ("wittsuperq", "commuting_map", 1),
+]
+
+
+def _kind(cls):
+    return "bilinear" if cls in BILINEAR_CLASSES else "linear"
 
 
 # -- ansatz shape ------------------------------------------------------------
@@ -101,7 +129,6 @@ def test_single_difference_row(wittq):
     ansatz = build_ansatz(wittq, "bilinear", "biderivation", s=0, window=Window(0, 1))
     sys = ConstraintSystem(ansatz)
     sys.rows.append({0: Q1, 1: -Q1})
-    sys.provenance.append(("eq1", (), None))
     sol = nullspace(sys)
     assert sol.dim == 3
     # the x0 = x1 relation holds in every basis vector
@@ -126,7 +153,71 @@ def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
     assert nullspace(sys).dim == nullspace_dim_specialized(sys, 2)
 
 
-# -- fast path equals the generic instance stream --------------------------------
+# -- the row generator against the checker's instance streams -----------------
+
+WZ = """algebra wz;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) * L(m+n);
+alpha L(m) = (1 - q^m) * L(m);
+"""
+
+# a bracket coefficient outside Z[q, 1/q], so the rows are built from Q(q)
+# structure constants
+QPLUS5 = """algebra qplus5;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / (q + 5) * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5}
+
+
+def _presentation(name):
+    return parse(PRESENTATIONS[name]) if name in PRESENTATIONS else builtin(name)
+
+
+def _generator_residuals(p, a, vec):
+    """{(eq id, inputs, target): value} of every nonzero row . vec."""
+    out = {}
+    for eq_id, inputs, target, row in solver._rows(p, a):
+        acc = Q0
+        for j, c in row.items():
+            if j in vec:
+                acc = acc + (c if isinstance(c, QRational) else QRational(c)) * vec[j]
+        if not acc.is_zero:
+            out[eq_id, inputs, target] = acc
+    return out
+
+
+def _instance_residuals(p, a, vec):
+    """{(eq id, inputs, target): value} of every nonzero lhs - rhs of the
+    checker's non-strict instance stream on the map with slot values vec."""
+    concrete = map_from_assignment(a, {a.slots[j]: v for j, v in vec.items()})
+    if a.kind == "bilinear":
+        stream = bilinear_instances(
+            p, a.cls, a.window, _wrap_bilinear(concrete, p, a.window), a.parity
+        )
+    else:
+        stream = linear_instances(
+            p, a.cls, a.window, _wrap_linear(concrete, p, a.window), a.parity, k=a.k
+        )
+    out = {}
+    for eq_id, inputs, lhs, rhs in stream:
+        for target, value in m_add(lhs, m_neg(rhs)).items():
+            out[eq_id, inputs, target] = value
+    return out
+
+
+def _assert_rows_match_instance_residuals(p, a):
+    rng = random.Random(20211)
+    for _ in range(2):
+        vec = {j: QRational(rng.randint(-5, 5)) for j in range(len(a))}
+        vec = {j: v for j, v in vec.items() if not v.is_zero}
+        expected = _instance_residuals(p, a, vec)
+        assert expected
+        assert _generator_residuals(p, a, vec) == expected
 
 
 @pytest.mark.parametrize("alg,cls,parity,s", [
@@ -136,14 +227,44 @@ def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
     ("wittsuperq", "super_biderivation", 0, 0),
     ("wittsuperq", "super_biderivation", 1, -1),
     ("wittsuperq", "alpha_super_biderivation", 0, 0),
+    ("example49", "alpha_super_biderivation", 0, 0),
+    ("example49", "super_biderivation", 1, 0),
+    ("example49", "commuting_map", 1, 0),
+    ("w22q", "commuting_map", 0, 0),
+    ("wittq", "commuting_map", 0, 1),
+    ("wittsuperq", "commuting_map", 0, 0),
+    ("wittsuperq", "commuting_map", 1, -1),
+    # alpha(L(0)) = 0: eq1 and eq2 keep their instances when a bracket
+    # leaves the window but the twisted argument vanishes
+    ("wz", "biderivation", 0, -1),
+    ("wz", "biderivation", 0, 0),
+    ("wz", "biderivation", 0, 1),
+    ("wz", "commuting_map", 0, 0),
+    ("qplus5", "biderivation", 0, 0),
+    ("qplus5", "alpha_biderivation", 0, 1),
+    ("qplus5", "derivation", 0, 0),
+    ("qplus5", "commuting_map", 0, 0),
 ])
-def test_fast_rows_equal_generic_rows(alg, cls, parity, s):
-    p = builtin(alg)
-    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
-    fast = build_system(p, a)
-    slow = build_system(p, a, _generic=True)
-    assert fast.rows == slow.rows
-    assert fast.provenance == slow.provenance
+def test_rows_match_the_instance_residuals(alg, cls, parity, s):
+    p = _presentation(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    _assert_rows_match_instance_residuals(p, a)
+
+
+@pytest.mark.parametrize("alg,parity,s", [
+    ("w22q", 0, 0),
+    ("wittq", 0, 1),
+    ("wittsuperq", 0, 0),
+    ("wittsuperq", 1, -1),
+    ("wz", 0, 0),
+    ("qplus5", 0, 0),
+])
+@pytest.mark.parametrize("k", [1, 2])
+def test_twisted_derivation_rows_match_the_instance_residuals(alg, parity, s, k):
+    p = _presentation(alg)
+    a = build_ansatz(p, "linear", "alpha_k_derivation", s=s, parity=parity,
+                     window=SMALL, k=k)
+    _assert_rows_match_instance_residuals(p, a)
 
 
 # -- stable solving ----------------------------------------------------------------
@@ -243,11 +364,11 @@ def _mod_p_nullity(p, ansatz):
     return solver._mod_p_nullity(p, ansatz, solver.MOD_PRIME, solver.MOD_POINT)
 
 
-@DIM_CASES
+@pytest.mark.parametrize("alg,cls,parity", BILINEAR_DIM_CASES + LINEAR_DIM_CASES)
 @DIM_DEGREES
 def test_mod_p_nullity_equals_exact_nullity(alg, cls, parity, s):
     p = builtin(alg)
-    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
     exact = nullspace(build_system(p, a)).dim
     modular = _mod_p_nullity(p, a)
     # q -> a in F_p can only lower the rank; at the chosen point it does not
@@ -263,13 +384,33 @@ alpha L(m) = (1 + q^m) * L(m);
 """
 
 
+CLASSES_AND_DEGREES = (
+    ("biderivation", 0),
+    ("biderivation", 1),
+    ("alpha_biderivation", 0),
+    ("derivation", 0),
+    ("alpha_k_derivation", 1),
+    ("commuting_map", 0),
+)
+
+
 def test_mod_p_nullity_of_fractional_structure_constants():
     p = parse(THIRDS)
-    for cls, s in (("biderivation", 0), ("biderivation", 1), ("alpha_biderivation", 0)):
-        a = build_ansatz(p, "bilinear", cls, s=s, window=SMALL)
+    for cls, s in CLASSES_AND_DEGREES:
+        a = build_ansatz(p, _kind(cls), cls, s=s, window=SMALL)
         assert _mod_p_nullity(p, a) == nullspace(build_system(p, a)).dim
         # 3 divides a denominator: the point has no image, so no certificate
         assert solver._mod_p_nullity(p, a, 3, 2) is None
+    p = parse(QPLUS5)
+    assert not p.fast_scalars
+    dims = []
+    for cls, s in CLASSES_AND_DEGREES:
+        a = build_ansatz(p, _kind(cls), cls, s=s, window=SMALL)
+        dims.append(nullspace(build_system(p, a)).dim)
+        assert _mod_p_nullity(p, a) == dims[-1]
+        # q + 5 vanishes at q = 2 mod 7, where the coefficients have no image
+        assert solver._mod_p_nullity(p, a, 7, 2) is None
+    assert 0 in dims and any(dims)
 
 
 def test_vanishing_space_carries_its_rank_witness(wittq, monkeypatch):
@@ -279,15 +420,19 @@ def test_vanishing_space_carries_its_rank_witness(wittq, monkeypatch):
     assert zero.witness == (solver.MOD_PRIME, solver.MOD_POINT, 0)
     one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
     assert one.witness is None
-    # delta 0 and linear classes keep the exact path
+    # delta 0 keeps the exact path
     flat = stable_solve(
         wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=0
     )
     assert (flat.dim, flat.raw_enlarged_dim, flat.witness) == (0, 0, None)
+    # linear classes are certified the same way
     linear = stable_solve(
         wittq, "linear", "alpha_k_derivation", s=3, window=SMALL, delta=2
     )
-    assert (linear.dim, linear.witness) == (0, None)
+    assert (linear.dim, linear.raw_enlarged_dim, linear.witness) == (
+        0, None, (solver.MOD_PRIME, solver.MOD_POINT, 0))
+    commuting = stable_solve(wittq, "linear", "commuting_map", s=0, window=SMALL, delta=2)
+    assert (commuting.dim, commuting.witness) == (1, None)
     # the window system of a certified space is built once, on first access
     builds = []
     build = solver.build_system
@@ -611,11 +756,3 @@ def test_span_utilities():
     assert span_rank([v1, v2, {2: Q1}]) == 3
     reduced = reduce_span([v1, v2])
     assert len(reduced) == 2
-
-
-def test_linform_algebra():
-    a = LinForm({0: Q1})
-    b = LinForm({1: Q1})
-    c = (a + b) * QRational(2) - a * QRational(2)
-    assert c.c == {1: QRational(2)}
-    assert (a - a).is_zero
