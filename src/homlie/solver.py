@@ -312,10 +312,13 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
             if row:
                 yield eq_id, inputs, gen, row
 
+    if cls == "alpha_k_derivation" and ansatz.k < 0:
+        raise ValueError("twist power must be nonnegative")
+    k = {"alpha_k_derivation": ansatz.k, "derivation": 0, "super_derivation": 0}.get(cls, 1)
+    twists = {g: twist_power(g, k) for g in gens}
     parity = ansatz.parity
     if ansatz.kind == "bilinear":
         twisted = cls in ("biderivation", "super_biderivation")
-        alpha1 = {g: twist_power(g, 1) for g in gens}
         btab = {}
         for g1 in gens:
             for g2 in gens:
@@ -323,14 +326,14 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 btab[g1, g2] = (bv, in_window(bv))
         xs, ys, zs = axes
         for x in xs:
-            ax = alpha1[x]
+            ax = twists[x]
             neg_phix = parity and x.parity
             for y in ys:
-                ay = alpha1[y]
+                ay = twists[y]
                 bxy, bxy_ok = btab[x, y]
                 neg_phixy = ((parity + x.parity) % 2) and y.parity
                 for z in zs:
-                    az = alpha1[z]
+                    az = twists[z]
                     # phi([x,y], T z) - (-1)^{|y||z|} [phi(x,z), a y]
                     #   - (-1)^{|phi||x|} [a x, phi(y,z)], T = a on the
                     # twisted classes; phi([x,y], 0) needs no window
@@ -373,12 +376,11 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
         return
     xs, ys = axes[:2]
     if cls == "commuting_map":
-        alpha1 = {g: twist_power(g, 1) for g in gens}
         for x in xs:
             # f(a x) - a(f(x))
             acc = {}
-            if alpha1[x] is not None:
-                xx, cax = alpha1[x]
+            if twists[x] is not None:
+                xx, cax = twists[x]
                 put_map(acc, (xx,), cax)
             for j, gen in slots((x,)):
                 for g, c in alpha(gen):
@@ -391,9 +393,6 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 put_bracket(acc, (y,), x, -1 if (x.parity and y.parity) else 1, False)
                 yield from emit("commute", (x, y), acc)
         return
-    if cls == "alpha_k_derivation" and ansatz.k < 0:
-        raise ValueError("twist power must be nonnegative")
-    twists = {g: twist_power(g, ansatz.k if cls == "alpha_k_derivation" else 0) for g in gens}
     for x in xs:
         ax = twists[x]
         negx = parity and x.parity
@@ -422,8 +421,8 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
 # rank can only drop: mod-p nullity 0 proves the exact nullity is 0, and rows
 # whose images are independent were independent over Q(q), which `nullspace`
 # uses to choose the rows it eliminates.  Any other outcome (and a structure
-# constant whose denominator p divides) leaves the decision to the exact
-# path, so an unlucky point costs time, never a wrong answer.
+# constant whose denominator vanishes at the point) leaves the decision to
+# the exact path, so an unlucky point costs time, never a wrong answer.
 
 MOD_PRIME = 2**31 - 1
 MOD_POINT = 123457
