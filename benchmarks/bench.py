@@ -5,17 +5,22 @@ super-biderivations at degree 0 and odd ones at degree -1) it times
 `build_system` and `nullspace` on the window, then `stable_solve` with its
 enlarged window (delta 2), at the `reproduce-paper` window [-6,6].
 Everything runs serially in one process.  Each stage is timed three times
-and the median is kept.  The result, with the unknown and row counts and
-the dimensions, goes to BENCH_<label>.json next to this file:
+and the median is kept.  The result, with the unknown and row counts, the
+dimensions and `stable_basis_sha256`, goes to BENCH_<label>.json next to
+this file:
 
     PYTHONPATH=src python benchmarks/bench.py --label NAME
 
 Point PYTHONPATH at another checkout's `src` to time that code instead.
+`stable_basis_sha256` is the sha256 of the stable basis in basis order, each
+vector written as its [str(slot), str(value)] pairs in slot order, so two
+checkouts that return the same basis give the same digest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -44,6 +49,16 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def basis_digest(space):
+    """sha256 of the space's basis, each vector as [str(slot), str(value)]
+    pairs in slot order."""
+    vecs = [
+        [[str(slot), str(vec[slot])] for slot in space.ansatz.slots if slot in vec]
+        for vec in space.basis
+    ]
+    return hashlib.sha256(json.dumps(vecs).encode()).hexdigest()
+
+
 def bench_space(alg, cls, parity, s):
     p = builtin(alg)
     seconds = {"build_system_s": [], "nullspace_s": [], "stable_solve_s": []}
@@ -67,6 +82,7 @@ def bench_space(alg, cls, parity, s):
         "window_dim": space.dim,
         "stable_dim": stable.dim,
         "raw_enlarged_dim": stable.raw_enlarged_dim,
+        "stable_basis_sha256": basis_digest(stable),
         **{k: round(statistics.median(v), 3) for k, v in seconds.items()},
     }
 

@@ -7,7 +7,10 @@ Q(q).  One generator, `_rows`, writes those rows for every class and
 presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
 The system is solved exactly: rows are cleared to primitive integer
 Laurent rows, reduced by fraction-free elimination with per-row content
-removal, and the nullspace basis is produced by back-substitution.
+removal, and the nullspace basis is produced by back-substitution.  Every
+basis the solver returns is then brought to one form, the reduced echelon
+form over slot order (`_canonical_basis`), so it depends only on the space:
+not on the row order, the pivots or the rows that were eliminated.
 
 Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
 The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
@@ -56,20 +59,17 @@ from .qfield import (
 Q0 = QRational(0)
 Q1 = QRational(1)
 
-_EQ_ORDER = {"eq1": 0, "eq2": 1, "eq": 0, "commute": 0, "twist-commute": 1}
-
-
 class HomogeneousAnsatz:
-    """Unknown homogeneous map of fixed parity over a window.
+    """Unknown map of degree shift `degree` and fixed parity over a window.
 
     Slots are keyed (family1, deg1, family2, deg2, target_family, target_deg)
     for bilinear maps and (family, deg, target_family, target_deg) for linear
     ones; keys are shared across windows so solutions restrict naturally.
-    `degrees` lists the degree shifts covered (one entry for a homogeneous
-    ansatz; several for a direct-sum ansatz).
+    Scalar presentations have no grading; their ansatz has degree 0 and
+    target degree None.
     """
 
-    def __init__(self, p, kind, cls, degrees, parity, window, k=1):
+    def __init__(self, p, kind, cls, s, parity, window, k=1):
         if kind not in ("bilinear", "linear"):
             raise ValueError(f"unknown ansatz kind {kind!r}")
         check_class_mode(p, cls)
@@ -81,9 +81,7 @@ class HomogeneousAnsatz:
         self.k = k
         self.parity = parity
         self.window = window
-        self.degrees = tuple(degrees) if not p.is_scalar else (0,)
-        if len(set(self.degrees)) != len(self.degrees):
-            raise ValueError("repeated degree shifts")
+        self.degree = 0 if p.is_scalar else s
         fams = list(p.families.values())
         self._targets = {}
         for par in (0, 1):
@@ -94,24 +92,20 @@ class HomogeneousAnsatz:
         if kind == "bilinear":
             for g1 in gens:
                 for g2 in gens:
+                    td = None if p.is_scalar else g1.degree + g2.degree + s
                     for tf in self._targets[(g1.parity + g2.parity) % 2]:
-                        for s in self.degrees:
-                            td = None if p.is_scalar else g1.degree + g2.degree + s
-                            slots.append(
-                                (g1.family, g1.degree, g2.family, g2.degree, tf, td)
-                            )
+                        slots.append((g1.family, g1.degree, g2.family, g2.degree, tf, td))
         else:
             for g in gens:
+                td = None if p.is_scalar else g.degree + s
                 for tf in self._targets[g.parity]:
-                    for s in self.degrees:
-                        td = None if p.is_scalar else g.degree + s
-                        slots.append((g.family, g.degree, tf, td))
+                    slots.append((g.family, g.degree, tf, td))
         slots.sort(key=self._slot_sort_key)
         self.slots = slots
         self.index = {key: i for i, key in enumerate(slots)}
 
     def _key(self):
-        return (self.p, self.kind, self.cls, self.degrees, self.parity, self.window, self.k)
+        return (self.p, self.kind, self.cls, self.degree, self.parity, self.window, self.k)
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousAnsatz):
@@ -128,10 +122,6 @@ class HomogeneousAnsatz:
             return (order[f1], order[f2], d1 or 0, d2 or 0, order[tf], td or 0)
         f, d, tf, td = key
         return (order[f], d or 0, order[tf], td or 0)
-
-    @property
-    def degree(self):
-        return self.degrees[0] if len(self.degrees) == 1 else None
 
     def __len__(self):
         return len(self.slots)
@@ -163,7 +153,7 @@ def build_ansatz(p, kind, cls, s=0, parity=0, window=None, k=1):
     """Homogeneous degree-s, parity-`parity` ansatz for the given class."""
     if window is None:
         raise ValueError("a window is required")
-    return HomogeneousAnsatz(p, kind, cls, (s,), parity, window, k=k)
+    return HomogeneousAnsatz(p, kind, cls, s, parity, window, k=k)
 
 
 @dataclass
@@ -179,19 +169,14 @@ class ConstraintSystem:
 
 
 def build_system(p, ansatz):
-    """Instantiate the class identities over all interior tuples."""
-    p_key = p.gen_sort_key
-    raw = sorted(
-        _rows(p, ansatz),
-        key=lambda r: (
-            _EQ_ORDER.get(r[0], 9),
-            tuple(p_key(g) for g in r[1]),
-            p_key(r[2]),
-        ),
-    )
+    """Instantiate the class identities over all interior tuples.
+
+    Each row is cleared to a primitive integer Laurent row and kept once, in
+    the order `_rows` writes it; no returned basis depends on that order.
+    """
     sys = ConstraintSystem(ansatz)
     seen = set()
-    for _, _, _, values in raw:
+    for _, _, _, values in _rows(p, ansatz):
         row = _introw_of(values)
         if row is None:
             continue
@@ -232,7 +217,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     scalar = p.is_scalar
     index = ansatz.index
     targets = ansatz._targets
-    degrees = ansatz.degrees
+    degree = ansatz.degree
     contains = ansatz.window.contains
     fam_parity = {f.name: f.parity for f in p.families.values()}
     if prime is not None:
@@ -270,11 +255,10 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
         out = slot_cache.get(args)
         if out is None:
             key = tuple(v for g in args for v in (g.family, g.degree))
-            base = None if scalar else sum(g.degree for g in args)
+            td = None if scalar else sum(g.degree for g in args) + degree
             out = slot_cache[args] = tuple(
                 (index[key + (tf, td)], Generator(tf, td, fam_parity[tf]))
                 for tf in targets[sum(g.parity for g in args) % 2]
-                for td in ((None,) if scalar else (base + s for s in degrees))
             )
         return out
 
@@ -854,6 +838,9 @@ def _eliminate(rows):
 class SolutionSpace:
     """Exact nullspace basis; each element assigns a field value per slot key.
 
+    The solver returns the basis in reduced echelon form over slot order
+    (see `_canonical_basis`), so it depends only on the space.  A
+    `SolutionSpace` built by hand holds whatever vectors it is given.
     `system` is the window system the space was solved from; when the
     modular certificate decided the space, it is built on first access.
     `witness` is that certificate, (p, a, mod-p nullity) for q -> a in F_p,
@@ -900,15 +887,27 @@ def _vec_canonical(ansatz, vec):
     }
 
 
+def _canonical_basis(ansatz, idvecs):
+    """The basis of span(idvecs) that depends only on the span: the reduced
+    echelon form of `reduce_span` over slot order, with each vector scaled
+    by `_vec_canonical`.  Every basis the solver returns is made here."""
+    slots = ansatz.slots
+    return [
+        _vec_canonical(ansatz, {slots[j]: v for j, v in vec.items()})
+        for vec in reduce_span(idvecs)
+    ]
+
+
 def nullspace(sys):
-    """Exact basis of the solution space of the constraint system.
+    """Exact basis of the solution space of the constraint system, in the
+    reduced echelon form of `_canonical_basis`.
 
     Only the rows whose images under q -> MOD_POINT in F_MOD_PRIME are
     independent are eliminated over Q(q).  They are independent over Q(q)
     too, so their space contains the true one.  The basis satisfies the
     eliminated rows by construction; it is checked against every other row,
     which makes the two spaces equal.  When a check fails, or the point has
-    no image, all rows are eliminated.
+    no image, all rows are eliminated.  Either way the basis is the same.
     """
     rows = sys.rows
     try:
@@ -937,7 +936,7 @@ def _solve_rows(sys, rows):
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
     free = [j for j in range(ncols) if j not in determined]
-    basis = []
+    vecs = []
     for fcol in free:
         vec = {fcol: Q1}
         for col, prow in reversed(pivots):
@@ -950,10 +949,8 @@ def _solve_rows(sys, rows):
                     acc = acc + QRational._trusted(LaurentPoly._raw(dict(pol)), _P1) * v
             if not acc.is_zero:
                 vec[col] = -acc / QRational._trusted(LaurentPoly._raw(dict(prow[col])), _P1)
-        slots = ansatz.slots
-        keyed = {slots[j]: v for j, v in vec.items() if not v.is_zero}
-        basis.append(_vec_canonical(ansatz, keyed))
-    return SolutionSpace(ansatz, basis, _system=sys)
+        vecs.append(vec)
+    return SolutionSpace(ansatz, _canonical_basis(ansatz, vecs), _system=sys)
 
 
 def nullspace_dim_specialized(sys, q0):
@@ -1024,26 +1021,42 @@ def map_from_assignment(ansatz, vec):
 # -- span utilities over id vectors ----------------------------------------
 
 
+def _subtract(vec, c, row):
+    """vec -= c * row in place, dropping entries that become zero."""
+    for j, v in row.items():
+        nv = vec.get(j, Q0) - c * v
+        if nv.is_zero:
+            vec.pop(j, None)
+        else:
+            vec[j] = nv
+
+
 def reduce_span(vectors):
-    """Row-reduce a list of {col: QRational} vectors; returns independent ones."""
-    reduced = []
+    """Reduced echelon form of the span of {col: QRational} vectors.
+
+    Explicit zero entries are dropped; each vector's leading column is its
+    smallest column, with entry 1, every other vector is zero there, and the
+    vectors are sorted by leading column.  The result depends only on the
+    span; its length is the rank.
+    """
+    reduced = {}
     for vec in vectors:
-        vec = dict(vec)
-        for lead, rv in reduced:
-            c = vec.get(lead)
-            if c is not None and not c.is_zero:
-                f = c / rv[lead]
-                for j, v in rv.items():
-                    nv = vec.get(j, Q0) - f * v
-                    if nv.is_zero:
-                        vec.pop(j, None)
-                    else:
-                        vec[j] = nv
         vec = {j: v for j, v in vec.items() if not v.is_zero}
-        if vec:
-            reduced.append((min(vec), vec))
-    reduced.sort(key=lambda t: t[0])
-    return [rv for _, rv in reduced]
+        for lead, rv in reduced.items():
+            c = vec.get(lead)
+            if c is not None:
+                _subtract(vec, c, rv)
+        if not vec:
+            continue
+        lead = min(vec)
+        inv = Q1 / vec[lead]
+        vec = {j: v * inv for j, v in vec.items()}
+        for rv in reduced.values():
+            c = rv.get(lead)
+            if c is not None:
+                _subtract(rv, c, vec)
+        reduced[lead] = vec
+    return [reduced[lead] for lead in sorted(reduced)]
 
 
 def span_rank(vectors):
@@ -1051,47 +1064,24 @@ def span_rank(vectors):
 
 
 def express_in_span(vec, vectors):
-    """Coefficients writing vec as a combination of vectors, or None."""
-    aug = []
-    for i, v in enumerate(vectors):
-        row = dict(v)
-        row[("aux", i)] = Q1
-        aug.append(row)
-    target = dict(vec)
-    coeffs = {}
-    # echelonize the augmented basis, then reduce the target against it
-    reduced = []
-    for row in aug:
-        work = dict(row)
-        for lead, rv in reduced:
-            c = work.get(lead)
-            if c is not None and not c.is_zero:
-                f = c / rv[lead]
-                for j, v in rv.items():
-                    nv = work.get(j, Q0) - f * v
-                    if nv.is_zero:
-                        work.pop(j, None)
-                    else:
-                        work[j] = nv
-        main = {j for j in work if not isinstance(j, tuple)}
-        if main:
-            reduced.append((min(main), work))
-    for lead, rv in reduced:
-        c = target.get(lead)
-        if c is not None and not c.is_zero:
-            f = c / rv[lead]
-            for j, v in rv.items():
-                if isinstance(j, tuple):
-                    coeffs[j[1]] = coeffs.get(j[1], Q0) - f * v
-                else:
-                    nv = target.get(j, Q0) - f * v
-                    if nv.is_zero:
-                        target.pop(j, None)
-                    else:
-                        target[j] = nv
-    if any(not v.is_zero for v in target.values()):
+    """Coefficients writing vec as a combination of vectors, or None.
+
+    Vector i gets a unit entry in column aux + i, past every column in use;
+    in the reduced echelon form those columns record which combination of
+    the vectors each row is.
+    """
+    aux = 1 + max((j for v in (vec, *vectors) for j in v), default=0)
+    rest = {j: v for j, v in vec.items() if not v.is_zero}
+    for row in reduce_span([{**v, aux + i: Q1} for i, v in enumerate(vectors)]):
+        lead = min(row)
+        if lead >= aux:
+            break
+        c = rest.get(lead)
+        if c is not None:
+            _subtract(rest, c, row)
+    if any(j < aux for j in rest):
         return None
-    return [-(coeffs.get(i, Q0)) for i in range(len(vectors))]
+    return [-rest.get(aux + i, Q0) for i in range(len(vectors))]
 
 
 def _satisfies(row, idvec):
@@ -1125,7 +1115,7 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     """Solutions on the window that extend to a window enlarged by delta.
 
     Solves both systems, restricts the enlarged solutions, verifies they
-    satisfy the window system, and returns an independent basis of the
+    satisfy the window system, and returns the `_canonical_basis` of the
     restriction span (the intersection with the raw window space).
 
     When the window space is 0 the enlarged system is not solved, and
@@ -1170,14 +1160,9 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
                     "restriction of an enlarged-window solution violates the "
                     "window system; constraint generation is inconsistent"
                 )
-    slots = ansatz.slots
-    stable_basis = [
-        _vec_canonical(ansatz, {slots[j]: v for j, v in idvec.items()})
-        for idvec in reduce_span(restricted)
-    ]
     return SolutionSpace(
         ansatz,
-        stable_basis,
+        _canonical_basis(ansatz, restricted),
         raw_window_dim=small.dim,
         raw_enlarged_dim=big.dim,
         _system=sys_small,

@@ -59,6 +59,11 @@ def test_decompose_recovers_unit_coefficients(w22q, w22q_space):
     assert rep.residual_dim == 0
     assert rep.coefficients[0] == {"phi_ad": Q1, "phi_0": QRational(0)}
     assert rep.coefficients[1] == {"phi_ad": QRational(0), "phi_0": Q1}
+    # the knowns in the other order give the same coefficients
+    rep = decompose(space, dict(reversed(knowns.items())))
+    assert rep.residual_dim == 0
+    assert rep.coefficients[0] == {"phi_0": QRational(0), "phi_ad": Q1}
+    assert rep.coefficients[1] == {"phi_0": Q1, "phi_ad": QRational(0)}
 
 
 def test_decompose_reports_residual(w22q, w22q_space):

@@ -23,9 +23,9 @@ from homlie.identities import (
 from homlie.qfield import LaurentPoly, QRational
 from homlie.solver import (
     ConstraintSystem,
-    HomogeneousAnsatz,
     build_ansatz,
     build_system,
+    express_in_span,
     map_from_assignment,
     nullspace,
     nullspace_dim_specialized,
@@ -510,6 +510,11 @@ def _assert_selected_rows_suffice(monkeypatch, p, a):
     assert counts[0] == len(a) - full.dim
     assert space.dim == full.dim
     assert space == full
+    # the basis depends only on the space: neither the row order nor the
+    # point that selects the rows changes it
+    assert nullspace(ConstraintSystem(a, sys.rows[::-1])) == full
+    monkeypatch.setattr(solver, "MOD_POINT", 65537)
+    assert nullspace(sys) == full
 
 
 @DIM_CASES
@@ -574,6 +579,30 @@ def test_exact_check_catches_a_dropped_row(monkeypatch, alg, cls, parity, s):
     counts = _eliminated_row_counts(monkeypatch)
     assert nullspace(sys) == expected
     assert counts == [len(a) - expected.dim - 1, len(sys.rows)]
+
+
+def _assert_reduced_echelon(space):
+    """Leads (first nonzero slot of each vector) strictly increase, no other
+    vector has an entry at a lead, and each vector is primitive."""
+    index = space.ansatz.index
+    leads = [min(index[k] for k in vec) for vec in space.basis]
+    assert leads == sorted(set(leads))
+    for vec in space.basis:
+        assert solver._vec_canonical(space.ansatz, vec) == vec
+        for lead, other in zip(leads, space.basis):
+            if other is not vec:
+                assert space.ansatz.slots[lead] not in vec
+
+
+@pytest.mark.parametrize("alg,cls,parity", BILINEAR_DIM_CASES + LINEAR_DIM_CASES)
+@DIM_DEGREES
+def test_bases_are_in_reduced_echelon_form(alg, cls, parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    _assert_reduced_echelon(nullspace(build_system(p, a)))
+    _assert_reduced_echelon(
+        stable_solve(p, _kind(cls), cls, s=s, parity=parity, window=SMALL, delta=2)
+    )
 
 
 def test_equal_solves_compare_equal(wittq):
@@ -672,25 +701,6 @@ def test_scalar_presentation_solve(example49):
         assert check_bilinear_class(p, concrete, "alpha_super_biderivation", win).passed
 
 
-# -- homogeneity completeness ---------------------------------------------------
-
-
-@pytest.mark.parametrize("alg,cls,parity", [
-    ("wittq", "biderivation", 0),
-    ("wittsuperq", "super_biderivation", 1),
-])
-def test_window_solve_decomposes_by_degree(alg, cls, parity):
-    p = builtin(alg)
-    degrees = range(-2, 3)
-    total = 0
-    for s in degrees:
-        a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
-        total += nullspace(build_system(p, a)).dim
-    summed = HomogeneousAnsatz(p, "bilinear", cls, tuple(degrees), parity, SMALL)
-    joint = nullspace(build_system(p, summed))
-    assert joint.dim == total
-
-
 # -- row and vector normalization ---------------------------------------------------
 
 
@@ -754,5 +764,14 @@ def test_span_utilities():
     assert span_rank([v1, v2, {0: Q1}]) == 2
     assert span_rank([v1, v2, {0: Q1, 1: QRational(2)}]) == 2
     assert span_rank([v1, v2, {2: Q1}]) == 3
-    reduced = reduce_span([v1, v2])
-    assert len(reduced) == 2
+    # reduced echelon form: unit leads, zero above and below each lead
+    assert reduce_span([v1, v2]) == [{0: Q1}, {1: Q1}]
+    assert reduce_span([v2, v1, {0: Q0, 2: QRational(3)}]) == [{0: Q1}, {1: Q1}, {2: Q1}]
+    two = QRational(2)
+    assert reduce_span([{1: two, 2: Q1}, {0: Q1, 1: Q1}]) == [
+        {0: Q1, 2: -Q1 / two},
+        {1: Q1, 2: Q1 / two},
+    ]
+    assert reduce_span([{0: Q0}]) == []
+    assert express_in_span({0: QRational(3), 1: two}, [v1, v2]) == [QRational(3), -Q1]
+    assert express_in_span({2: Q1}, [v1, v2]) is None
