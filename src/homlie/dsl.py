@@ -280,16 +280,6 @@ class _Parser:
                 return node
 
 
-def _check_affine(aff, want, what, shift_allowed=False):
-    if aff[:2] != want[:2]:
-        raise ValidationError(f"{what}: degree must be {_want_str(want)}")
-    return aff[2]
-
-
-def _want_str(want):
-    return "m+n" if want == (1, 1) else "m"
-
-
 def parse(text, name=None):
     """Parse a presentation document into an AlgebraPresentation."""
     p = _Parser(text)

@@ -5,12 +5,13 @@ linear map over a window; the defining identities of the requested class,
 instantiated on every interior input tuple, yield a sparse linear system over
 Q(q).  One generator, `_rows`, writes those rows for every class and
 presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
-The system is solved exactly: rows are cleared to primitive integer
-Laurent rows, reduced by fraction-free elimination with per-row content
-removal, and the nullspace basis is produced by back-substitution.  Every
-basis the solver returns is then brought to one form, the reduced echelon
-form over slot order (`_canonical_basis`), so it depends only on the space:
-not on the row order, the pivots or the rows that were eliminated.
+Each row is kept once, as a `Row`: a sorted tuple of integer Laurent
+entries that is its own dedup key.  The system is solved exactly: rows are
+reduced by fraction-free elimination with per-row content removal, and the
+nullspace basis is produced by back-substitution.  Every basis the solver
+returns is then brought to one form, the reduced echelon form over slot
+order (`_canonical_basis`), so it depends only on the space: not on the row
+order, the pivots or the rows that were eliminated.
 
 Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
 The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
@@ -47,6 +48,7 @@ from .identities import ClassModeMismatch, OutOfWindow, check_class_mode
 from .maps import BilinearMap, LinearMap
 from .qfield import (
     _P1,
+    ForbiddenSpecialization,
     LaurentPoly,
     QRational,
     _int_divexact,
@@ -156,12 +158,21 @@ def build_ansatz(p, kind, cls, s=0, parity=0, window=None, k=1):
     return HomogeneousAnsatz(p, kind, cls, s, parity, window, k=k)
 
 
+Row = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+
+
 @dataclass
 class ConstraintSystem:
-    """Sparse exact linear system over the ansatz unknowns."""
+    """Sparse exact linear system over the ansatz unknowns.
+
+    A `Row` holds (col, ((exp, coeff), ...)) for each nonzero entry, the
+    Laurent polynomial sum of coeff * q^exp with int coeffs, sorted at both
+    levels.  `build_system` rows have integer content 1, lowest exponent 0
+    and a positive lowest coefficient in their first column.
+    """
 
     ansatz: HomogeneousAnsatz
-    rows: List[Dict[int, QRational]] = field(default_factory=list)
+    rows: List[Row] = field(default_factory=list)
 
     @property
     def nunknowns(self):
@@ -171,23 +182,17 @@ class ConstraintSystem:
 def build_system(p, ansatz):
     """Instantiate the class identities over all interior tuples.
 
-    Each row is cleared to a primitive integer Laurent row and kept once, in
-    the order `_rows` writes it; no returned basis depends on that order.
+    Each row is cleared to an integer Laurent row with `_introw_of`, frozen
+    into a `Row` and kept at its first occurrence, in the order `_rows`
+    writes it; no returned basis depends on that order.
     """
-    sys = ConstraintSystem(ansatz)
-    seen = set()
-    for _, _, _, values in _rows(p, ansatz):
-        row = _introw_of(values)
-        if row is None:
-            continue
-        key = tuple(sorted((j, tuple(sorted(pol.items()))) for j, pol in row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        sys.rows.append(
-            {j: QRational._trusted(LaurentPoly._raw(pol), _P1) for j, pol in row.items()}
-        )
-    return sys
+    rows = (_introw_of(values) for _, _, _, values in _rows(p, ansatz))
+    frozen = (
+        tuple(sorted((j, tuple(sorted(pol.items()))) for j, pol in row.items()))
+        for row in rows
+        if row is not None
+    )
+    return ConstraintSystem(ansatz, list(dict.fromkeys(frozen)))
 
 
 def single_instance_rows(p, ansatz, inputs):
@@ -476,13 +481,14 @@ def _mod_p_tables(p, prime, point):
 
 
 def _rows_mod_p(rows, prime, point):
-    """Images of integer Laurent rows {col: QRational} under q -> point."""
+    """Images {col: residue} of system rows (`Row`) under q -> point in
+    F_prime; only a point that is 0 mod prime has none."""
     power = _powers_mod_p(prime, point)
     out = []
     for row in rows:
         image = {}
-        for j, v in row.items():
-            r = _mod_p_value(v.num._t, prime, power)
+        for j, pol in row:
+            r = sum(c * power(e) for e, c in pol) % prime
             if r:
                 image[j] = r
         out.append(image)
@@ -929,10 +935,8 @@ def nullspace(sys):
 def _solve_rows(sys, rows):
     """Basis of the space cut out by `rows`, a subset of the rows of `sys`."""
     ansatz = sys.ansatz
-    introws = [
-        {j: dict(v.num._t) for j, v in row.items()} for row in rows
-    ]
-    pivots, zeros = _eliminate(introws)
+    # `_eliminate` changes its rows in place
+    pivots, zeros = _eliminate([{j: dict(pol) for j, pol in row} for row in rows])
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
     free = [j for j in range(ncols) if j not in determined]
@@ -956,16 +960,19 @@ def _solve_rows(sys, rows):
 def nullspace_dim_specialized(sys, q0):
     """Nullspace dimension after specializing q, by dense rational elimination.
 
-    Independent of the symbolic pivoting path; used as a cross-check oracle.
+    The integer Laurent entries are evaluated at q0 as `Fraction`s; q0 in
+    {0, 1, -1} is refused.  Independent of the symbolic pivoting path; used
+    as a cross-check oracle.
     """
-    from .qfield import specialize
-
+    q0 = Fraction(q0)
+    if q0 in (0, 1, -1):
+        raise ForbiddenSpecialization(f"q = {q0} is not allowed")
     ncols = len(sys.ansatz.slots)
     rows = []
     for row in sys.rows:
         dense = [Fraction(0)] * ncols
-        for j, v in row.items():
-            dense[j] = specialize(v, q0)
+        for j, pol in row:
+            dense[j] = sum((c * q0**e for e, c in pol), Fraction(0))
         rows.append(dense)
     rank = 0
     rowi = 0
@@ -1085,19 +1092,19 @@ def express_in_span(vec, vectors):
 
 
 def _satisfies(row, idvec):
-    """Whether the vector {col: QRational} satisfies the row exactly.
+    """Whether the vector {col: QRational} satisfies the `Row` exactly.
 
-    Both must hold Laurent polynomials over the shared unit denominator, as
-    system rows and canonical vectors do; the products are summed as
+    The vector must hold Laurent polynomials over the shared unit
+    denominator, as canonical vectors do; the products are summed as
     Laurent dicts.
     """
     acc = {}
-    for j, c in row.items():
+    for j, pol in row:
         v = idvec.get(j)
         if v is not None:
-            if c.den is not _P1 or v.den is not _P1:
-                raise ValueError("_satisfies needs entries over the unit denominator")
-            for e, x in _pmul(c.num._t, v.num._t).items():
+            if v.den is not _P1:
+                raise ValueError("_satisfies needs vector entries over the unit denominator")
+            for e, x in _pmul(dict(pol), v.num._t).items():
                 acc[e] = acc.get(e, 0) + x
     return not any(acc.values())
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from homlie.identities import (
     m_add,
     m_neg,
 )
-from homlie.qfield import LaurentPoly, QRational
+from homlie.qfield import ForbiddenSpecialization, LaurentPoly, QRational
 from homlie.solver import (
     ConstraintSystem,
     build_ansatz,
@@ -123,12 +124,17 @@ def test_empty_system_has_identity_basis(wittq):
     assert span_rank(vecs) == 4
     for i, vec in enumerate(vecs):
         assert vec == {i: Q1}
+    # the oracle refuses these points before it looks at the rows
+    for q0 in (0, 1, -1):
+        with pytest.raises(ForbiddenSpecialization):
+            nullspace_dim_specialized(sys, q0)
 
 
 def test_single_difference_row(wittq):
     ansatz = build_ansatz(wittq, "bilinear", "biderivation", s=0, window=Window(0, 1))
     sys = ConstraintSystem(ansatz)
-    sys.rows.append({0: Q1, 1: -Q1})
+    # x0 - x1 = 0
+    sys.rows.append(((0, ((0, 1),)), (1, ((0, -1),))))
     sol = nullspace(sys)
     assert sol.dim == 3
     # the x0 = x1 relation holds in every basis vector
@@ -151,6 +157,45 @@ def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
     a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
     sys = build_system(p, a)
     assert nullspace(sys).dim == nullspace_dim_specialized(sys, 2)
+
+
+# -- the system row format -------------------------------------------------------
+
+# unique rows at SMALL, s = 0
+ROW_COUNTS = {("w22q", "biderivation"): 1050, ("wittq", "biderivation"): 69}
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    *[(alg, cls, parity, s) for alg, cls, parity in BILINEAR_DIM_CASES for s in (-2, 0, 1)],
+    *[(alg, cls, parity, 0) for alg, cls, parity in LINEAR_DIM_CASES],
+    # fractional structure constants
+    ("example49", "super_biderivation", 0, 0),
+    ("example49", "commuting_map", 0, 0),
+])
+def test_system_rows_are_distinct_primitive_integer_tuples(alg, cls, parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    rows = build_system(p, a).rows
+    assert rows
+    assert len(set(rows)) == len(rows)
+    for row in rows:
+        assert type(row) is tuple and row
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols))
+        content = 0
+        for j, pol in row:
+            assert type(j) is int and type(pol) is tuple and pol
+            exps = [e for e, _ in pol]
+            assert exps == sorted(set(exps))
+            for e, c in pol:
+                assert type(e) is int and type(c) is int and c
+                content = math.gcd(content, c)
+        assert content == 1
+        assert min(e for _, pol in row for e, _ in pol) == 0
+        # the lowest coefficient of the first column
+        assert row[0][1][0][1] > 0
+    if s == 0 and (alg, cls) in ROW_COUNTS:
+        assert len(rows) == ROW_COUNTS[alg, cls]
 
 
 # -- the row generator against the checker's instance streams -----------------
@@ -284,9 +329,9 @@ def _two_window_stable_basis(p, cls, s, parity, window, delta):
     for idvec in restricted:
         for row in rows:
             acc = Q0
-            for j, c in row.items():
+            for j, pol in row:
                 if j in idvec:
-                    acc = acc + c * idvec[j]
+                    acc = acc + QRational(LaurentPoly(dict(pol))) * idvec[j]
             assert acc.is_zero
     basis = [
         solver._vec_canonical(small, {small.slots[j]: v for j, v in idvec.items()})
@@ -749,7 +794,7 @@ def test_exact_check_is_exact_and_needs_unit_denominators(wittq):
         wrong = dict(vec)
         wrong[j] = vec[j] + Q1
         assert not all(solver._satisfies(row, wrong) for row in system.rows)
-    row = next(r for r in system.rows if any(j in vecs[0] for j in r))
+    row = next(r for r in system.rows if any(j in vecs[0] for j, _ in r))
     scaled = {j: v / QRational(LaurentPoly({0: 1, 1: 1})) for j, v in vecs[0].items()}
     with pytest.raises(ValueError, match="unit denominator"):
         solver._satisfies(row, scaled)
