@@ -142,7 +142,11 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the LaurentPoly test comes first: the one for Fraction goes through
+        # ABCMeta.__instancecheck__
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _norm_coeff(other)
             if not other:
                 return _P0
@@ -151,8 +155,6 @@ class LaurentPoly:
             return LaurentPoly._raw(
                 {e: _norm_coeff(c * other) for e, c in self._t.items()}
             )
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         a, b = self._t, other._t
         if not a or not b:
             return _P0

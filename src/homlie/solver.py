@@ -182,17 +182,23 @@ class ConstraintSystem:
 def build_system(p, ansatz):
     """Instantiate the class identities over all interior tuples.
 
-    Each row is cleared to an integer Laurent row with `_introw_of`, frozen
-    into a `Row` and kept at its first occurrence, in the order `_rows`
-    writes it; no returned basis depends on that order.
+    Each row is frozen into a normalized `Row` by `_freeze`, straight from
+    its integer Laurent values or after `_introw_of` clears the denominators
+    of `Fraction` or Q(q) values, and kept at its first occurrence, in the
+    order `_rows` writes it; no returned basis depends on that order.
     """
-    rows = (_introw_of(values) for _, _, _, values in _rows(p, ansatz))
-    frozen = (
-        tuple(sorted((j, tuple(sorted(pol.items()))) for j, pol in row.items()))
-        for row in rows
-        if row is not None
-    )
-    return ConstraintSystem(ansatz, list(dict.fromkeys(frozen)))
+    laurent = p.fast_scalars
+
+    def frozen(values):
+        if laurent:
+            try:
+                return _freeze({j: v._t for j, v in values.items()})
+            except TypeError:
+                pass  # a Fraction coefficient
+        return _freeze(_introw_of(values))
+
+    rows = (frozen(values) for _, _, _, values in _rows(p, ansatz))
+    return ConstraintSystem(ansatz, list(dict.fromkeys(rows)))
 
 
 def single_instance_rows(p, ansatz, inputs):
@@ -242,8 +248,9 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
         return scalar or all(contains(g.degree) for g, _ in terms)
 
     def twist_power(g, k):
-        # alpha^k(g) as (generator, coefficient), None when it is 0; alpha
-        # maps a generator to one term, so alpha^k is one product
+        # alpha^k(g) as (generator, coefficient, -coefficient), None when it
+        # is 0; alpha maps a generator to one term, so alpha^k is one product.
+        # Both signs are made once, so each is one object in `products` keys
         c = 1
         for _ in range(k):
             t = alpha(g)
@@ -251,7 +258,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 return None
             g, a = t[0]
             c = c * a
-        return g, c
+        return g, c, -c
 
     slot_cache = {}
 
@@ -287,12 +294,20 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
         for j, gen in slots(args):
             put(acc, gen, j, c)
 
+    products = {}
+
     def put_bracket(acc, args, right, c, flip):
         # contributions of c * [phi(args), right], or c * [right, phi(args)]
-        # when flip is set; right is a concrete generator
+        # when flip is set; right is a concrete generator.  The products
+        # c * r depend only on (mid, right, flip, c): each is made once
         for j, mid in slots(args):
-            for gfin, r in bracket(right, mid) if flip else bracket(mid, right):
-                put(acc, gfin, j, c * r)
+            key = (mid, right, flip, c)
+            terms = products.get(key)
+            if terms is None:
+                pairs = bracket(right, mid) if flip else bracket(mid, right)
+                terms = products[key] = tuple((gfin, c * r) for gfin, r in pairs)
+            for gfin, cr in terms:
+                put(acc, gfin, j, cr)
 
     def emit(eq_id, inputs, acc):
         for gen, row in acc.items():
@@ -332,16 +347,16 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                             for u, cu in bxy:
                                 put_map(acc, (u, z), cu)
                         elif az is not None:
-                            zz, caz = az
+                            zz, caz, _ = az
                             for u, cu in bxy:
                                 put_map(acc, (u, zz), cu * caz)
                         if ay is not None:
-                            yy, cay = ay
+                            yy, cay, ncay = ay
                             sgn = y.parity and z.parity
-                            put_bracket(acc, (x, z), yy, cay if sgn else -cay, False)
+                            put_bracket(acc, (x, z), yy, cay if sgn else ncay, False)
                         if ax is not None:
-                            xx, cax = ax
-                            put_bracket(acc, (y, z), xx, cax if neg_phix else -cax, True)
+                            xx, cax, ncax = ax
+                            put_bracket(acc, (y, z), xx, cax if neg_phix else ncax, True)
                         yield from emit("eq1", (x, y, z), acc)
                     # phi(T x, [y,z]) - [phi(x,y), a z]
                     #   - (-1)^{(|phi|+|x|)|y|} [a y, phi(x,z)]
@@ -352,15 +367,15 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                             for v, cv in byz:
                                 put_map(acc, (x, v), cv)
                         elif ax is not None:
-                            xx, cax = ax
+                            xx, cax, _ = ax
                             for v, cv in byz:
                                 put_map(acc, (xx, v), cax * cv)
                         if az is not None:
-                            zz, caz = az
-                            put_bracket(acc, (x, y), zz, -caz, False)
+                            zz, _, ncaz = az
+                            put_bracket(acc, (x, y), zz, ncaz, False)
                         if ay is not None:
-                            yy, cay = ay
-                            put_bracket(acc, (x, z), yy, cay if neg_phixy else -cay, True)
+                            yy, cay, ncay = ay
+                            put_bracket(acc, (x, z), yy, cay if neg_phixy else ncay, True)
                         yield from emit("eq2", (x, y, z), acc)
         return
     xs, ys = axes[:2]
@@ -369,7 +384,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
             # f(a x) - a(f(x))
             acc = {}
             if twists[x] is not None:
-                xx, cax = twists[x]
+                xx, cax, _ = twists[x]
                 put_map(acc, (xx,), cax)
             for j, gen in slots((x,)):
                 for g, c in alpha(gen):
@@ -395,11 +410,11 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 put_map(acc, (u,), cu)
             ay = twists[y]
             if ay is not None:
-                yy, cay = ay
-                put_bracket(acc, (x,), yy, -cay, False)
+                yy, _, ncay = ay
+                put_bracket(acc, (x,), yy, ncay, False)
             if ax is not None:
-                xx, cax = ax
-                put_bracket(acc, (y,), xx, cax if negx else -cax, True)
+                xx, cax, ncax = ax
+                put_bracket(acc, (y,), xx, cax if negx else ncax, True)
             yield from emit("eq", (x, y), acc)
 
 
@@ -571,27 +586,28 @@ def _poly_lcm(a, b):
 
 
 def _introw_of(values):
-    """Linear-form values -> normalized integer-coefficient row (dicts)."""
+    """Linear-form values {col: value} -> integer Laurent entries
+    {col: {exp: coeff}}: the nonzero values times the lcm of their
+    denominators, polynomial and integer.  The entries may share the
+    values' term dicts, so they are read, never changed."""
     entries = {}
     laurent = all(isinstance(v, LaurentPoly) for v in values.values())
     if laurent:
         for j, v in values.items():
             if v._t:
-                entries[j] = dict(v._t)
+                entries[j] = v._t
     else:
         dens = [v.den for v in values.values() if v.den is not _P1 and v.den != _P1]
         if not dens:
             for j, v in values.items():
                 if v.num._t:
-                    entries[j] = dict(v.num._t)
+                    entries[j] = v.num._t
         else:
             lcm = reduce(_poly_lcm, dens)
             for j, v in values.items():
                 num = v.num if v.den == lcm else v.num * poly_divexact(lcm, v.den)
                 if num._t:
-                    entries[j] = dict(num._t)
-    if not entries:
-        return None
+                    entries[j] = num._t
     mul = 1
     saw_fraction = False
     for pol in entries.values():
@@ -604,7 +620,32 @@ def _introw_of(values):
             j: {e: int(c * mul) for e, c in pol.items()}
             for j, pol in entries.items()
         }
-    return _normalize_row(entries, strip=None)
+    return entries
+
+
+def _freeze(entries):
+    """The `Row` of nonzero integer Laurent entries {col: {exp: coeff}}.
+
+    The entries are divided by the lowest power of q and their integer
+    content, and the sign makes the lowest coefficient of the first column
+    positive.  A `Fraction` coefficient raises TypeError: math.gcd checks
+    every coefficient, also once the gcd is 1.
+    """
+    if len(entries) == 1:
+        # a single nonzero coefficient forces its unknown to vanish
+        (j,) = entries
+        return ((j, ((0, 1),)),)
+    shift = min(map(min, entries.values()))
+    g = 0
+    for pol in entries.values():
+        g = _igcd(g, *pol.values())
+    row = sorted(entries.items())
+    first = row[0][1]
+    if first[min(first)] < 0:
+        g = -g
+    return tuple(
+        (j, tuple(sorted((e - shift, c // g) for e, c in pol.items()))) for j, pol in row
+    )
 
 
 # dense integer polynomial rows: {col: (lowest exponent, coefficient list)}
@@ -661,8 +702,8 @@ def _strip_poly_content(dense):
 def _normalize_row(entries, strip=_strip_poly_content):
     """Divide by common polynomial/monomial/integer content; fix the sign.
 
-    `strip` removes the polynomial content of the dense entries (None keeps
-    it); the sign makes the lowest coefficient of the first column positive.
+    `strip` removes the polynomial content of the dense entries; the sign
+    makes the lowest coefficient of the first column positive.
     """
     if len(entries) == 1:
         # a single nonzero coefficient forces its unknown to vanish
@@ -671,8 +712,7 @@ def _normalize_row(entries, strip=_strip_poly_content):
     dense = {}
     for j, pol in entries.items():
         dense[j] = _dense_of(pol)
-    if strip is not None:
-        dense = strip(dense)
+    dense = strip(dense)
     shift = min(lo for lo, _ in dense.values())
     ic = 0
     for _, d in dense.values():
@@ -958,47 +998,61 @@ def _solve_rows(sys, rows):
 
 
 def nullspace_dim_specialized(sys, q0):
-    """Nullspace dimension after specializing q, by dense rational elimination.
+    """Nullspace dimension after specializing q, by sparse integer elimination.
 
-    The integer Laurent entries are evaluated at q0 as `Fraction`s; q0 in
-    {0, 1, -1} is refused.  Independent of the symbolic pivoting path; used
-    as a cross-check oracle.
+    Each row is evaluated at q0 = a/b and multiplied by a^-lo * b^hi, lo and
+    hi its lowest and highest exponents, which makes it an integer row; q0
+    in {0, 1, -1} is refused.  The rows are eliminated over Z, the shortest
+    row becoming the pivot and each new row divided by its content.
+    Independent of the symbolic path (no Laurent polynomials, no mod p, no
+    row selection); used as a cross-check oracle.
     """
     q0 = Fraction(q0)
     if q0 in (0, 1, -1):
         raise ForbiddenSpecialization(f"q = {q0} is not allowed")
-    ncols = len(sys.ansatz.slots)
+    a, b = q0.numerator, q0.denominator
     rows = []
     for row in sys.rows:
-        dense = [Fraction(0)] * ncols
+        exps = [e for _, pol in row for e, _ in pol]
+        lo, hi = min(exps), max(exps)
+        apow = [a**i for i in range(hi - lo + 1)]
+        bpow = [b**i for i in range(hi - lo + 1)]
+        vals = {}
         for j, pol in row:
-            dense[j] = sum((c * q0**e for e, c in pol), Fraction(0))
-        rows.append(dense)
+            v = sum(c * apow[e - lo] * bpow[hi - e] for e, c in pol)
+            if v:
+                vals[j] = v
+        if vals:
+            rows.append(vals)
     rank = 0
-    rowi = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rowi, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rowi], rows[piv] = rows[piv], rows[rowi]
-        pv = rows[rowi][col]
-        for i in range(rowi + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                ri = rows[i]
-                rp = rows[rowi]
-                scale = f / pv
-                for j2 in range(col, ncols):
-                    ri[j2] -= scale * rp[j2]
+    while rows:
+        piv = min(rows, key=len)
+        col = min(piv)
+        pv = piv.pop(col)
         rank += 1
-        rowi += 1
-        if rowi == len(rows):
-            break
-    return ncols - rank
+        out = []
+        for r in rows:
+            if r is piv:
+                continue
+            f = r.pop(col, None)
+            if f is not None:
+                for j, v in r.items():
+                    r[j] = v * pv
+                for j, v in piv.items():
+                    nv = r.get(j, 0) - f * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        r.pop(j, None)
+                if not r:
+                    continue
+                g = _igcd(*r.values())
+                if g != 1:
+                    for j in r:
+                        r[j] //= g
+            out.append(r)
+        rows = out
+    return len(sys.ansatz.slots) - rank
 
 
 def map_from_assignment(ansatz, vec):

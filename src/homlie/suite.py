@@ -38,6 +38,19 @@ from . import rowrefs
 
 Q1 = QRational(1)
 
+# criterion 12 compares these bilinear classes, each at s in [-2, 2] on the
+# window [-2, 2], with the specialized oracle
+ORACLE_CLASSES = (
+    ("w22q", "biderivation", 0),
+    ("w22q", "alpha_biderivation", 0),
+    ("wittq", "biderivation", 0),
+    ("wittq", "alpha_biderivation", 0),
+    ("wittsuperq", "super_biderivation", 0),
+    ("wittsuperq", "super_biderivation", 1),
+    ("wittsuperq", "alpha_super_biderivation", 0),
+    ("wittsuperq", "alpha_super_biderivation", 1),
+)
+
 
 class BadThreadCount(ValueError):
     """A worker count that is not a positive integer."""
@@ -479,16 +492,7 @@ class AcceptanceSuite:
         ok = True
         small = Window(-2, 2)
         checked = 0
-        for alg, cls, parity in (
-            ("w22q", "biderivation", 0),
-            ("w22q", "alpha_biderivation", 0),
-            ("wittq", "biderivation", 0),
-            ("wittq", "alpha_biderivation", 0),
-            ("wittsuperq", "super_biderivation", 0),
-            ("wittsuperq", "super_biderivation", 1),
-            ("wittsuperq", "alpha_super_biderivation", 0),
-            ("wittsuperq", "alpha_super_biderivation", 1),
-        ):
+        for alg, cls, parity in ORACLE_CLASSES:
             p = builtin(alg)
             for s in range(-2, 3):
                 ansatz = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=small)

@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from homlie import qfield, solver
-from homlie.algebra import Window, builtin
+from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.checker import (
     _wrap_bilinear,
     _wrap_linear,
@@ -15,6 +16,7 @@ from homlie.classify import known_map
 from homlie.dsl import parse
 from homlie.identities import (
     BILINEAR_CLASSES,
+    LINEAR_CLASSES,
     ClassModeMismatch,
     bilinear_instances,
     linear_instances,
@@ -35,6 +37,7 @@ from homlie.solver import (
     span_rank,
     stable_solve,
 )
+from homlie.suite import ORACLE_CLASSES
 
 Q0 = QRational(0)
 Q1 = QRational(1)
@@ -109,12 +112,6 @@ def test_odd_parity_needs_super(wittq):
 # -- nullspace basics -----------------------------------------------------------
 
 
-def _toy_system(nrows_unknowns):
-    # an ansatz stub is only needed for slot bookkeeping; use a real tiny one
-    p = builtin("wittq")
-    return build_ansatz(p, "bilinear", "biderivation", s=0, window=Window(0, 1))
-
-
 def test_empty_system_has_identity_basis(wittq):
     ansatz = build_ansatz(wittq, "bilinear", "biderivation", s=0, window=Window(0, 1))
     sys = ConstraintSystem(ansatz)
@@ -159,10 +156,66 @@ def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
     assert nullspace(sys).dim == nullspace_dim_specialized(sys, 2)
 
 
+def _dense_fraction_nullity(sys, q0):
+    """Reference for `nullspace_dim_specialized`: dense `Fraction`
+    elimination of every row evaluated at q0."""
+    q0 = Fraction(q0)
+    ncols = len(sys.ansatz.slots)
+    rows = []
+    for row in sys.rows:
+        dense = [Fraction(0)] * ncols
+        for j, pol in row:
+            dense[j] = sum((c * q0**e for e, c in pol), Fraction(0))
+        rows.append(dense)
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rp = rows[rank]
+        support = [j for j in range(col, ncols) if rp[j]]
+        for ri in rows[rank + 1:]:
+            f = ri[col]
+            if f:
+                scale = f / rp[col]
+                for j in support:
+                    ri[j] -= scale * rp[j]
+        rank += 1
+        if rank == len(rows):
+            break
+    return ncols - rank
+
+
+@pytest.mark.parametrize("alg,cls,parity", ORACLE_CLASSES)
+def test_integer_oracle_equals_dense_fraction_elimination(alg, cls, parity):
+    # criterion 12's classes on [-1, 1], and its wittq systems on SMALL
+    p = builtin(alg)
+    windows = [Window(-1, 1)] + ([SMALL] if alg == "wittq" else [])
+    for window in windows:
+        for s in range(-2, 3):
+            a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
+            sys = build_system(p, a)
+            for q0 in (2, 3, Fraction(1, 2)):
+                assert nullspace_dim_specialized(sys, q0) == _dense_fraction_nullity(sys, q0)
+
+
 # -- the system row format -------------------------------------------------------
 
 # unique rows at SMALL, s = 0
-ROW_COUNTS = {("w22q", "biderivation"): 1050, ("wittq", "biderivation"): 69}
+ROW_COUNTS = {
+    ("w22q", "biderivation"): 1050,
+    ("wittq", "biderivation"): 69,
+    ("thirds", "biderivation"): 69,
+    ("thirds", "alpha_biderivation"): 76,
+    ("thirds", "commuting_map"): 10,
+    ("qplus5", "biderivation"): 69,
+    ("qplus5", "alpha_biderivation"): 76,
+    ("qplus5", "commuting_map"): 10,
+    ("wz", "biderivation"): 73,
+    ("wz", "alpha_biderivation"): 76,
+    ("wz", "commuting_map"): 10,
+}
 
 
 @pytest.mark.parametrize("alg,cls,parity,s", [
@@ -171,9 +224,14 @@ ROW_COUNTS = {("w22q", "biderivation"): 1050, ("wittq", "biderivation"): 69}
     # fractional structure constants
     ("example49", "super_biderivation", 0, 0),
     ("example49", "commuting_map", 0, 0),
+    # Fraction Laurent coefficients (thirds), Q(q) constants (qplus5) and a
+    # vanishing twist (wz)
+    *[(alg, cls, 0, 0)
+      for alg in ("thirds", "qplus5", "wz")
+      for cls in ("biderivation", "alpha_biderivation", "commuting_map")],
 ])
 def test_system_rows_are_distinct_primitive_integer_tuples(alg, cls, parity, s):
-    p = builtin(alg)
+    p = _presentation(alg)
     a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
     rows = build_system(p, a).rows
     assert rows
@@ -216,7 +274,15 @@ bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / (q + 5) * L(m+n);
 alpha L(m) = (1 + q^m) * L(m);
 """
 
-PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5}
+# integer Laurent structure constants with a Fraction content
+THIRDS = """algebra thirds;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / 3 * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS}
 
 
 def _presentation(name):
@@ -421,12 +487,41 @@ def test_mod_p_nullity_equals_exact_nullity(alg, cls, parity, s):
     assert modular == exact
 
 
-THIRDS = """algebra thirds;
-mode lie;
-family L parity 0 degrees int;
-bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / 3 * L(m+n);
-alpha L(m) = (1 + q^m) * L(m);
-"""
+def _image_mod_p(pol, prime, point):
+    """Image of an exact Laurent row entry under q -> point in F_prime."""
+    acc = 0
+    for e, c in pol.items():
+        c = Fraction(c)
+        acc += c.numerator * pow(c.denominator, -1, prime) * pow(point, e, prime)
+    return acc % prime
+
+
+@pytest.mark.parametrize("alg", [*BUILTIN_NAMES, "thirds", "wz"])
+def test_mod_p_stream_is_the_image_of_the_exact_stream(alg):
+    p = _presentation(alg)
+    prime, point = solver.MOD_PRIME, solver.MOD_POINT
+    checked = 0
+    for cls in BILINEAR_CLASSES + LINEAR_CLASSES:
+        for parity in (0, 1) if p.is_super else (0,):
+            for s in (-1, 0, 1):
+                try:
+                    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+                except ClassModeMismatch:
+                    continue
+                expected = {}
+                for eq_id, inputs, target, row in solver._rows(p, a):
+                    image = {
+                        j: r for j, v in row.items() if (r := _image_mod_p(v, prime, point))
+                    }
+                    if image:
+                        expected[eq_id, inputs, target] = image
+                modular = {
+                    (eq_id, inputs, target): row
+                    for eq_id, inputs, target, row in solver._rows(p, a, prime, point)
+                }
+                assert modular == expected
+                checked += 1
+    assert checked
 
 
 CLASSES_AND_DEGREES = (
