@@ -23,13 +23,10 @@ Q1 = QRational(1)
 
 
 def _as_laurent(c):
-    # constant-denominator field elements are Laurent polynomials in disguise
-    den = c.den
-    if den is _P1:
-        return c.num
-    if den.min_exp == 0 and den.max_exp == 0:
-        return c.num.scale_div(den.coeff(0))
-    raise ValueError("coefficient is not a Laurent polynomial")
+    # a value of a Laurent-valued rule holds the unit denominator
+    if c.den is not _P1:
+        raise ValueError("coefficient is not a Laurent polynomial")
+    return c.num
 
 
 class UnknownBuiltin(ValueError):
@@ -331,7 +328,12 @@ class AlgebraPresentation:
         key = (expr, m, n)
         v = self._coeff_cache.get(key)
         if v is None:
-            v = ce.evaluate(expr, m, n)
+            try:
+                v = ce.evaluate(expr, m, n)
+            except ZeroDivisionError:
+                raise PresentationError(
+                    f"coefficient {ce.render(expr)} divides by zero at (m, n) = ({m}, {n})"
+                ) from None
             self._coeff_cache[key] = v
         return v
 

@@ -64,14 +64,23 @@ def phi_minus1(p):
     return BilinearMap.from_rule(1, rule, degree=-1)
 
 
-KNOWN_MAPS = {"phi_ad": phi_ad, "phi_0": phi_0, "phi_minus1": phi_minus1}
+# name -> (constructor, the indexed families the map reads and writes)
+KNOWN_MAPS = {
+    "phi_ad": (phi_ad, ()),
+    "phi_0": (phi_0, ("L", "W")),
+    "phi_minus1": (phi_minus1, ("L", "G")),
+}
 
 
 def known_map(name, p):
+    """The named map on p; UnknownGenerator when p lacks one of its families."""
     try:
-        return KNOWN_MAPS[name](p)
+        make, families = KNOWN_MAPS[name]
     except KeyError:
         raise UnknownMap(f"unknown named map {name!r}") from None
+    for family in families:
+        p.generator(family, 0)
+    return make(p)
 
 
 # -- decomposition -----------------------------------------------------------

@@ -340,7 +340,13 @@ def cmd_classify(args):
             names.append("phi_0")
         if p.name == "wittsuperq" and args.parity == 1:
             names = ["phi_minus1"]
-    knowns = {name: known_map(name, p) for name in names}
+    knowns = {}
+    for name in names:
+        if name in knowns:
+            raise DependentKnowns(
+                f"the named maps are linearly dependent: {name} is listed twice"
+            )
+        knowns[name] = known_map(name, p)
     space = stable_solve(
         p, "bilinear", cls, s=args.degree, parity=args.parity,
         window=args.window, delta=args.delta,
@@ -492,7 +498,7 @@ def main(argv=None):
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, PresentationError, ClassModeMismatch,
-            ForbiddenSpecialization, FileNotFoundError, BadThreadCount,
+            ForbiddenSpecialization, OSError, BadThreadCount,
             DependentKnowns) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

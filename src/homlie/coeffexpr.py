@@ -135,14 +135,15 @@ def variables(expr):
 
 
 def is_laurent_valued(expr):
-    """True when every evaluation stays in the Laurent polynomial ring."""
+    """True when every evaluation lies in Z[q, 1/q]: integer literals, no
+    division."""
     tag = expr[0]
-    if tag in ("num", "q", "var", "qpow", "qbr", "qnm"):
+    if tag == "num":
+        return expr[1].denominator == 1  # an int or an integral Fraction
+    if tag in ("q", "var", "qpow", "qbr", "qnm"):
         return True
     if tag in ("+", "-", "*"):
         return is_laurent_valued(expr[1]) and is_laurent_valued(expr[2])
-    if tag == "/":
-        return expr[2][0] == "num" and is_laurent_valued(expr[1])
     if tag == "neg":
         return is_laurent_valued(expr[1])
     if tag == "pow":

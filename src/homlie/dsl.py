@@ -415,8 +415,14 @@ def parse(text, name=None):
 
 
 def load(path):
+    """Parse the presentation in the file at path; a file that is not UTF-8
+    text raises ParseError, and one that cannot be read, OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse(text)
 
 
 def _render_coeff(expr):

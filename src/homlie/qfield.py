@@ -2,9 +2,14 @@
 
 Values are fractions of sparse Laurent polynomials with integer coefficients,
 kept in a canonical form so that equality and hashing are plain structural
-comparisons.  The module also provides the two q-number families used by the
-q-deformed graded algebras (`qbracket` for the symmetric one, `qbrace` for the
-geometric one) and exact evaluation at rational points of q.
+comparisons.  `LaurentPoly` is the ring Z[q, 1/q]: its coefficients are ints
+only, and a rational constant such as 1/2 lives in a `QRational`
+denominator.  Every exact division in the ring divides by a primitive gcd
+or divides an lcm by one of its factors, so by Gauss's lemma its quotient
+has integer coefficients.  The module also provides the two q-number
+families used by the q-deformed graded algebras (`qbracket` for the
+symmetric one, `qbrace` for the geometric one) and exact evaluation at
+rational points of q.
 
 The unit denominator is the single object `_P1`: every value whose
 denominator is 1 holds that object, so `__add__` and `__mul__` can test
@@ -17,8 +22,8 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd as _igcd, lcm as _ilcm
+from functools import lru_cache
+from math import gcd as _igcd
 
 
 class ForbiddenSpecialization(ArithmeticError):
@@ -29,18 +34,19 @@ class PoleAtPoint(ArithmeticError):
     """Raised when a denominator vanishes at the requested point."""
 
 
-def _norm_coeff(c):
-    # Keep plain ints whenever exact; Fractions only when truly non-integral.
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    return c
+def _as_int(c):
+    # an int or an integral Fraction as an int; anything else fails loudly
+    if c.denominator != 1:
+        raise ValueError(f"Laurent polynomial coefficients are integers, got {c!r}")
+    return int(c)
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: a map exponent -> nonzero coefficient.
+    """Element of Z[q, 1/q]: a sparse map exponent -> nonzero int coefficient.
 
-    Coefficients are Python ints or Fractions; the zero polynomial is the
-    empty map.  Instances are immutable by convention.
+    The zero polynomial is the empty map.  A rational constant lives in a
+    `QRational` denominator, never here.  Instances are immutable by
+    convention.
     """
 
     __slots__ = ("_t", "_hash")
@@ -50,13 +56,13 @@ class LaurentPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for e, c in items:
-                c = _norm_coeff(c)
+                c = _as_int(c)
                 if c:
                     c0 = t.get(e)
                     if c0 is None:
                         t[e] = c
                     else:
-                        c0 = _norm_coeff(c0 + c)
+                        c0 = c0 + c
                         if c0:
                             t[e] = c0
                         else:
@@ -74,8 +80,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp, coeff=1):
-        coeff = _norm_coeff(coeff)
-        return cls._raw({exp: coeff}) if coeff else cls._raw({})
+        coeff = _as_int(coeff)
+        return cls._raw({exp: coeff} if coeff else {})
 
     @classmethod
     def const(cls, c):
@@ -106,9 +112,6 @@ class LaurentPoly:
     @property
     def max_exp(self):
         return max(self._t)
-
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self._t.values())
 
     # -- arithmetic ------------------------------------------------------
 
@@ -142,19 +145,14 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        # the LaurentPoly test comes first: the one for Fraction goes through
-        # ABCMeta.__instancecheck__
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = _norm_coeff(other)
             if not other:
                 return _P0
             if other == 1:
                 return self
-            return LaurentPoly._raw(
-                {e: _norm_coeff(c * other) for e, c in self._t.items()}
-            )
+            return LaurentPoly._raw({e: c * other for e, c in self._t.items()})
         a, b = self._t, other._t
         if not a or not b:
             return _P0
@@ -200,42 +198,27 @@ class LaurentPoly:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self._t.items()})
 
-    def scale_div(self, fr):
-        """Exact division by a nonzero rational."""
-        inv = Fraction(1, 1) / Fraction(fr)
-        return LaurentPoly._raw(
-            {e: _norm_coeff(c * inv) for e, c in self._t.items()}
-        )
+    def scale_div(self, k):
+        """Division by a nonzero int k that divides every coefficient."""
+        return LaurentPoly._raw({e: c // k for e, c in self._t.items()})
 
     # -- structure -------------------------------------------------------
 
     def content(self):
-        """Positive rational c with self/c primitive integral (0 for zero)."""
-        if not self._t:
-            return Fraction(0)
-        nums = []
-        dens = []
-        for c in self._t.values():
-            if isinstance(c, int):
-                nums.append(abs(c))
-                dens.append(1)
-            else:
-                nums.append(abs(c.numerator))
-                dens.append(c.denominator)
-        return Fraction(reduce(_igcd, nums), reduce(_ilcm, dens))
+        """The gcd of the coefficients, a positive int (0 for zero)."""
+        return _igcd(*self._t.values())
 
     def evaluate(self, q0):
         """Exact value at q = q0 (nonzero rational)."""
         q0 = Fraction(q0)
         if q0 == 0 and self._t and self.min_exp < 0:
             raise ZeroDivisionError("negative power of q at q = 0")
-        return sum((Fraction(c) * q0 ** e for e, c in self._t.items()), Fraction(0))
+        return sum((c * q0 ** e for e, c in self._t.items()), Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self._t == other._t
-        if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
+        if isinstance(other, int):
             if other == 0:
                 return not self._t
             return self._t == {0: other}
@@ -266,12 +249,6 @@ _P1 = LaurentPoly._raw({0: 1})
 _Pq = LaurentPoly._raw({1: 1})
 
 
-def _coeff_str(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def _poly_str(p):
     if p.is_zero:
         return "0"
@@ -281,10 +258,10 @@ def _poly_str(p):
         neg = c < 0
         mag = -c if neg else c
         if e == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         else:
             var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{_coeff_str(mag)}*{var}"
+            body = var if mag == 1 else f"{mag}*{var}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -295,26 +272,15 @@ def _poly_str(p):
 # -- polynomial helpers (nonnegative exponents) --------------------------
 
 
-def _to_dense(p, numeric=Fraction):
-    n = p.max_exp
-    out = [numeric(0)] * (n + 1)
+def _to_dense(p):
+    out = [0] * (p.max_exp + 1)
     for e, c in p.items():
-        out[e] = numeric(c)
+        out[e] = c
     return out
 
 
 def _from_dense(dense):
     return LaurentPoly({e: c for e, c in enumerate(dense)})
-
-
-def _primitive(p):
-    """Scale to integer coefficients with content 1 and positive lowest term."""
-    if p.is_zero:
-        return p
-    c = p.content()
-    if p.coeff(p.min_exp) < 0:
-        c = -c
-    return p.scale_div(c)
 
 
 def _strip(v):
@@ -325,7 +291,7 @@ def _strip(v):
 
 def _int_primitive(v):
     # v: nonempty int list -> content-free with positive leading coefficient
-    c = reduce(_igcd, v, 0)
+    c = _igcd(*v)
     if v[-1] < 0:
         c = -c
     if c != 1:
@@ -370,8 +336,8 @@ def _int_gcd(x, y):
 
 
 def _int_divexact(x, y):
-    """Quotient of integer lists x / y, y stripped; None when a quotient
-    coefficient is not an integer.  Raises ValueError when y does not divide x."""
+    """Quotient of integer lists x / y, y stripped.  Raises ValueError when
+    y does not divide x in Z[q]."""
     x = x[:]
     dq = len(x) - len(y)
     if dq < 0:
@@ -384,7 +350,7 @@ def _int_divexact(x, y):
             continue
         f, rem = divmod(x[-1], ly)
         if rem:
-            return None
+            raise ValueError("the quotient is not in Z[q]")
         off = len(x) - len(y)
         quot[off] = f
         for i in range(len(y)):
@@ -401,47 +367,23 @@ def poly_gcd(a, b):
     The result is a primitive integer polynomial with nonzero constant term
     and positive lowest coefficient.
     """
-    if a.is_zero:
-        return _primitive(b.shift(-b.min_exp)) if not b.is_zero else _P0
-    if b.is_zero:
-        return _primitive(a.shift(-a.min_exp))
-    x = _to_dense(_primitive(a.shift(-a.min_exp)), int)
-    y = _to_dense(_primitive(b.shift(-b.min_exp)), int)
-    g = _int_gcd(x, y)
+    dense = [_to_dense(p.shift(-p.min_exp)) for p in (a, b) if p]
+    if not dense:
+        return _P0
+    g = _int_gcd(*dense) if len(dense) == 2 else _int_primitive(dense[0])
     if g[0] < 0:
         g = [-c for c in g]
     return _from_dense(g)
 
 
 def poly_divexact(a, b):
-    """Exact quotient a / b in the Laurent ring; raises if not divisible."""
+    """Exact quotient a / b in Z[q, 1/q]; ValueError when b does not divide a there."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return _P0
     sa, sb = a.min_exp, b.min_exp
-    if a.is_integral() and b.is_integral():
-        quot = _int_divexact(_to_dense(a.shift(-sa), int), _to_dense(b.shift(-sb), int))
-        if quot is not None:
-            return _from_dense(quot).shift(sa - sb)
-        # the quotient has non-integer coefficients; divide over Q
-    x = _to_dense(a.shift(-sa))
-    y = _to_dense(b.shift(-sb))
-    dq = len(x) - len(y)
-    if dq < 0:
-        raise ValueError("not divisible")
-    quot = [Fraction(0)] * (dq + 1)
-    ly = y[-1]
-    while x and len(x) - 1 >= len(y) - 1:
-        f = x[-1] / ly
-        off = len(x) - len(y)
-        quot[off] = f
-        for i in range(len(y)):
-            x[off + i] -= f * y[i]
-        while x and x[-1] == 0:
-            x.pop()
-    if x:
-        raise ValueError("not divisible")
+    quot = _int_divexact(_to_dense(a.shift(-sa)), _to_dense(b.shift(-sb)))
     return _from_dense(quot).shift(sa - sb)
 
 
@@ -454,7 +396,7 @@ class QRational:
     Invariants: the denominator is a nonzero polynomial in q with nonzero
     constant term, integer coefficients and positive constant coefficient;
     numerator and denominator have no common polynomial factor and no common
-    rational content.  Two values are equal iff their parts compare equal.
+    integer content.  Two values are equal iff their parts compare equal.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -465,8 +407,11 @@ class QRational:
             self.num, self.den = LaurentPoly.const(value), _P1
         elif isinstance(value, (LaurentPoly, Fraction)):
             if isinstance(value, Fraction):
-                value = LaurentPoly.const(value)
-            q = _canonical(value, _P1)
+                num = LaurentPoly.const(value.numerator)
+                den = LaurentPoly.const(value.denominator)
+            else:
+                num, den = value, _P1
+            q = _canonical(num, den)
             self.num, self.den = q.num, q.den
         else:
             raise TypeError(f"cannot build QRational from {type(value).__name__}")
@@ -617,8 +562,7 @@ def _canonical(num, den):
         if g != _P1:
             n = poly_divexact(n, g)
             d = poly_divexact(d, g)
-    cn, cd = n.content(), d.content()
-    c = Fraction(_igcd(cn.numerator, cd.numerator), _ilcm(cn.denominator, cd.denominator))
+    c = _igcd(n.content(), d.content())
     if d.coeff(0) < 0:
         c = -c
     if c != 1:

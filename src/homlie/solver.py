@@ -5,13 +5,16 @@ linear map over a window; the defining identities of the requested class,
 instantiated on every interior input tuple, yield a sparse linear system over
 Q(q).  One generator, `_rows`, writes those rows for every class and
 presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
-Each row is kept once, as a `Row`: a sorted tuple of integer Laurent
-entries that is its own dedup key.  The system is solved exactly: rows are
-reduced by fraction-free elimination with per-row content removal, and the
-nullspace basis is produced by back-substitution.  Every basis the solver
-returns is then brought to one form, the reduced echelon form over slot
-order (`_canonical_basis`), so it depends only on the space: not on the row
-order, the pivots or the rows that were eliminated.
+A presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) gives rows of
+integer Laurent polynomials; any other, rational constants included, gives
+Q(q) rows whose denominators are cleared.  Each row is kept once, as a
+`Row`: a sorted tuple of integer Laurent entries that is its own dedup key.
+The system is solved exactly: rows are reduced by fraction-free elimination
+with per-row content removal, and the nullspace basis is produced by
+back-substitution.  Every basis the solver returns is then brought to one
+form, the reduced echelon form over slot order (`_canonical_basis`), so it
+depends only on the space: not on the row order, the pivots or the rows
+that were eliminated.
 
 Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
 The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
@@ -183,22 +186,16 @@ def build_system(p, ansatz):
     """Instantiate the class identities over all interior tuples.
 
     Each row is frozen into a normalized `Row` by `_freeze`, straight from
-    its integer Laurent values or after `_introw_of` clears the denominators
-    of `Fraction` or Q(q) values, and kept at its first occurrence, in the
-    order `_rows` writes it; no returned basis depends on that order.
+    its Z[q, 1/q] values when `p.fast_scalars`, or after `_introw_of` clears
+    the denominators of its Q(q) values, and kept at its first occurrence,
+    in the order `_rows` writes it; no returned basis depends on that order.
     """
-    laurent = p.fast_scalars
-
-    def frozen(values):
-        if laurent:
-            try:
-                return _freeze({j: v._t for j, v in values.items()})
-            except TypeError:
-                pass  # a Fraction coefficient
-        return _freeze(_introw_of(values))
-
-    rows = (frozen(values) for _, _, _, values in _rows(p, ansatz))
-    return ConstraintSystem(ansatz, list(dict.fromkeys(rows)))
+    stream = (values for _, _, _, values in _rows(p, ansatz))
+    if p.fast_scalars:
+        entries = ({j: v._t for j, v in values.items()} for values in stream)
+    else:
+        entries = map(_introw_of, stream)
+    return ConstraintSystem(ansatz, list(dict.fromkeys(map(_freeze, entries))))
 
 
 def single_instance_rows(p, ansatz, inputs):
@@ -451,16 +448,9 @@ def _powers_mod_p(prime, point):
     return power
 
 
-def _mod_p_value(pol, prime, power):
-    acc = 0
-    for e, c in pol.items():
-        den = c.denominator
-        if den % prime == 0:
-            raise _Unlucky(f"{prime} divides a denominator")
-        if den != 1:
-            c = c.numerator * pow(den, -1, prime)
-        acc += c * power(e)
-    return acc % prime
+def _mod_p_value(terms, prime, power):
+    """Image in F_prime of the Laurent polynomial with these (exp, coeff) terms."""
+    return sum(c * power(e) for e, c in terms) % prime
 
 
 def _mod_p_tables(p, prime, point):
@@ -473,10 +463,10 @@ def _mod_p_tables(p, prime, point):
     power = _powers_mod_p(prime, point)
 
     def image(c):
-        num = _mod_p_value(c.num._t, prime, power)
+        num = _mod_p_value(c.num.items(), prime, power)
         if c.den is _P1:
             return num
-        den = _mod_p_value(c.den._t, prime, power)
+        den = _mod_p_value(c.den.items(), prime, power)
         if not den:
             raise _Unlucky(f"a denominator vanishes at q = {point} mod {prime}")
         return num * pow(den, -1, prime) % prime
@@ -503,7 +493,7 @@ def _rows_mod_p(rows, prime, point):
     for row in rows:
         image = {}
         for j, pol in row:
-            r = sum(c * power(e) for e, c in pol) % prime
+            r = _mod_p_value(pol, prime, power)
             if r:
                 image[j] = r
         out.append(image)
@@ -586,40 +576,16 @@ def _poly_lcm(a, b):
 
 
 def _introw_of(values):
-    """Linear-form values {col: value} -> integer Laurent entries
-    {col: {exp: coeff}}: the nonzero values times the lcm of their
-    denominators, polynomial and integer.  The entries may share the
-    values' term dicts, so they are read, never changed."""
+    """Q(q) values {col: value} -> integer Laurent entries {col: {exp: coeff}}:
+    the nonzero values times the lcm of their denominators.  The entries may
+    share the values' term dicts, so they are read, never changed."""
+    dens = [v.den for v in values.values() if v.den is not _P1]
+    lcm = reduce(_poly_lcm, dens) if dens else _P1
     entries = {}
-    laurent = all(isinstance(v, LaurentPoly) for v in values.values())
-    if laurent:
-        for j, v in values.items():
-            if v._t:
-                entries[j] = v._t
-    else:
-        dens = [v.den for v in values.values() if v.den is not _P1 and v.den != _P1]
-        if not dens:
-            for j, v in values.items():
-                if v.num._t:
-                    entries[j] = v.num._t
-        else:
-            lcm = reduce(_poly_lcm, dens)
-            for j, v in values.items():
-                num = v.num if v.den == lcm else v.num * poly_divexact(lcm, v.den)
-                if num._t:
-                    entries[j] = num._t
-    mul = 1
-    saw_fraction = False
-    for pol in entries.values():
-        for c in pol.values():
-            if isinstance(c, Fraction):
-                saw_fraction = True
-                mul = mul * c.denominator // _igcd(mul, c.denominator)
-    if saw_fraction:
-        entries = {
-            j: {e: int(c * mul) for e, c in pol.items()}
-            for j, pol in entries.items()
-        }
+    for j, v in values.items():
+        num = v.num if v.den == lcm else v.num * poly_divexact(lcm, v.den)
+        if num._t:
+            entries[j] = num._t
     return entries
 
 
@@ -628,8 +594,7 @@ def _freeze(entries):
 
     The entries are divided by the lowest power of q and their integer
     content, and the sign makes the lowest coefficient of the first column
-    positive.  A `Fraction` coefficient raises TypeError: math.gcd checks
-    every coefficient, also once the gcd is 1.
+    positive.
     """
     if len(entries) == 1:
         # a single nonzero coefficient forces its unknown to vanish

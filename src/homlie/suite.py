@@ -514,7 +514,7 @@ class AcceptanceSuite:
                             f"q=3 agrees"
                         )
         details.insert(0, f"{checked} small-window systems compared")
-        return _result("12 symbolic dims match dense rational elimination", ok, details)
+        return _result("12 symbolic dims match sparse integer elimination at rational q", ok, details)
 
     CRITERIA = (
         "criterion_01_axioms",

@@ -156,6 +156,20 @@ def test_example49_brackets(example49):
     )
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_integer_tables_only_for_laurent_rules(name):
+    # example49's rules hold the rational constant -1/2, so it takes the
+    # Q(q) tables; the others hold integer Laurent polynomials
+    p = builtin(name)
+    assert p.fast_scalars == (name != "example49")
+    if p.fast_scalars:
+        gens = p.gens_in(Window(-2, 2))
+        for g1 in gens:
+            for g2 in gens:
+                for _, c in p.bracket_gens_fast(g1, g2) + p.alpha_gens_fast(g1):
+                    assert all(type(v) is int for _, v in c.items())
+
+
 def test_unknown_generator_and_builtin(w22q):
     with pytest.raises(UnknownGenerator):
         w22q.generator("G", 0)

@@ -178,14 +178,38 @@ def test_alg_file_input(tmp_path, capsys):
 
 
 def test_bad_alg_file_exits_two(tmp_path, capsys):
-    path = tmp_path / "broken.alg"
-    path.write_text("algebra x; mode lie; family L parity 0 degrees int;\n"
-                    "bracket [L(m), L(n)] = qbr(m-n) * L(m+n+1);\n"
+    broken = tmp_path / "broken.alg"
+    broken.write_text("algebra x; mode lie; family L parity 0 degrees int;\n"
+                      "bracket [L(m), L(n)] = qbr(m-n) * L(m+n+1);\n"
+                      "alpha L(m) = (1) * L(m);\n")
+    # a UTF-16 byte order mark is not UTF-8
+    not_utf8 = tmp_path / "utf16.alg"
+    not_utf8.write_bytes(b"\xff\xfe" + "algebra x;".encode("utf-16-le"))
+    for path in (broken, not_utf8, tmp_path):
+        code, err = run_bad_input(capsys, "check-axioms", "--algebra", str(path),
+                                  "--window", "-2..2")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("coeff,where", [
+    ("1/(q-q)", "(m, n) = (-1, -1)"),
+    ("1/qbr(m)", "(m, n) = (0, -1)"),
+], ids=["zero", "qbr0"])
+@pytest.mark.parametrize("command", [
+    ("check-axioms",),
+    ("solve", "--class", "biderivation"),
+    ("check-map", "--map", "phi_ad", "--class", "biderivation"),
+], ids=lambda command: command[0])
+def test_coefficient_dividing_by_zero_exits_two(tmp_path, capsys, coeff, where, command):
+    path = tmp_path / "zero.alg"
+    path.write_text("algebra z; mode lie; family L parity 0 degrees int;\n"
+                    f"bracket [L(m), L(n)] = ({coeff}) * L(m+n);\n"
                     "alpha L(m) = (1) * L(m);\n")
-    code, _, err = run(capsys, "check-axioms", "--algebra", str(path),
-                       "--window", "-2..2")
+    code, err = run_bad_input(capsys, *command, "--algebra", str(path), "--window", "-1..1")
     assert code == 2
-    assert "error" in err
+    assert len(err) == 1 and err[0].startswith("error: coefficient ")
+    assert "divides by zero" in err[0] and where in err[0]
 
 
 def test_usage_error_exits_two(capsys):
@@ -389,13 +413,28 @@ def test_unknown_named_map_exits_two(capsys):
 
 
 def test_map_outside_the_algebra_exits_two(capsys):
-    # phi_0 takes values in the W family, which wittq does not have
+    # phi_0 takes values in the W family, which wittq does not have; neither
+    # map has its L family on example49
+    for algebra, name, cls, missing in (
+        ("wittq", "phi_0", "biderivation", "W"),
+        ("example49", "phi_0", "super-biderivation", "L"),
+        ("example49", "phi_minus1", "super-biderivation", "L"),
+    ):
+        code, err = run_bad_input(
+            capsys, "check-map", "--algebra", algebra, "--map", name,
+            "--class", cls, "--window", "-1..1",
+        )
+        assert code == 2
+        assert err == [f"error: unknown generator {missing!r}"]
+
+
+def test_repeated_known_exits_two(capsys):
     code, err = run_bad_input(
-        capsys, "check-map", "--algebra", "wittq", "--map", "phi_0",
-        "--class", "biderivation", "--window", "-1..1",
+        capsys, "classify", "--algebra", "wittq", "--class", "biderivation",
+        "--window", "-1..1", "--knowns", "phi_ad,phi_ad",
     )
     assert code == 2
-    assert err == ["error: unknown generator 'W'"]
+    assert err == ["error: the named maps are linearly dependent: phi_ad is listed twice"]
 
 
 def test_out_file(tmp_path, capsys):

@@ -65,6 +65,18 @@ def test_sparse_canonical_form():
     assert dict(p.items()) == {3: 2, -1: 2}
 
 
+def test_coefficients_are_integers():
+    with pytest.raises(ValueError):
+        LaurentPoly({0: Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(3, Fraction(-2, 3))
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1}) * Fraction(1, 2)
+    # a rational constant lives in the denominator
+    half = QRational(Fraction(1, 2))
+    assert half.num == LaurentPoly.const(1) and half.den == LaurentPoly.const(2)
+
+
 @given(laurents(), laurents(), laurents())
 @settings(max_examples=60, deadline=None)
 def test_poly_ring_axioms(a, b, c):
@@ -88,6 +100,9 @@ def test_gcd_divides_both(a, b):
 def test_divexact_rejects_nondivisor():
     with pytest.raises(ValueError):
         poly_divexact(LaurentPoly({2: 1, 0: 1}), LaurentPoly({1: 1, 0: 1}))
+    # q + 1 divides 2q + 2 over Q[q], with the quotient 1/2 outside Z[q]
+    with pytest.raises(ValueError):
+        poly_divexact(LaurentPoly({1: 1, 0: 1}), LaurentPoly({1: 2, 0: 2}))
 
 
 # -- field arithmetic ----------------------------------------------------------
@@ -139,7 +154,9 @@ def test_denominator_normalization():
        non_monomials())
 @settings(max_examples=80, deadline=None)
 def test_constant_denominator_skips_gcd_soundly(num, c, k, r):
-    den = LaurentPoly.monomial(k, c)
+    # num / (c * q^k), written over Z[q, 1/q]
+    num = num * c.denominator
+    den = LaurentPoly.monomial(k, c.numerator)
     assert QRational.make(num, den) == QRational.make(num * r, den * r)
 
 

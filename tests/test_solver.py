@@ -147,11 +147,49 @@ def test_vanishing_case_matches_specialized_oracle(wittq):
     assert sol.dim == nullspace_dim_specialized(sys, 2) == 0
 
 
-@DIM_CASES
-@DIM_DEGREES
-def test_symbolic_dim_equals_specialized_dim(alg, cls, parity, s):
-    p = builtin(alg)
-    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+# the paper's four nonzero stable spaces, (alg, cls, parity, s)
+NONZERO_SPACES = [
+    ("w22q", "biderivation", 0, 0),
+    ("wittq", "biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", 1, -1),
+]
+
+
+def _oracle_cases():
+    # (s, alg, cls, parity, window); every class on SMALL, rational (thirds,
+    # example49) and Q(q) (qplus5) constants included, and the nonzero
+    # spaces on a wider window
+    cases = [
+        (s, alg, cls, parity, SMALL)
+        for alg, cls, parity in BILINEAR_DIM_CASES + LINEAR_DIM_CASES
+        for s in (-2, 0, 1)
+    ]
+    cases += [
+        (s, alg, cls, 0, SMALL)
+        for alg in ("thirds", "qplus5")
+        for cls in ("biderivation", "alpha_biderivation", "derivation",
+                    "alpha_k_derivation", "commuting_map")
+        for s in (-2, 0, 1)
+    ]
+    cases += [
+        (0, "example49", cls, parity, SMALL)
+        for cls in ("super_biderivation", "alpha_super_biderivation", "super_derivation",
+                    "alpha_k_derivation", "commuting_map")
+        for parity in (0, 1)
+    ]
+    cases += [(s, alg, cls, parity, Window(-4, 4)) for alg, cls, parity, s in NONZERO_SPACES]
+    return [
+        pytest.param(s, alg, cls, parity, window,
+                     id=f"{s}-{alg}-{cls}-{parity}" + ("" if window == SMALL else "-wide"))
+        for s, alg, cls, parity, window in cases
+    ]
+
+
+@pytest.mark.parametrize("s,alg,cls,parity,window", _oracle_cases())
+def test_symbolic_dim_equals_specialized_dim(s, alg, cls, parity, window):
+    p = _presentation(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
     sys = build_system(p, a)
     assert nullspace(sys).dim == nullspace_dim_specialized(sys, 2)
 
@@ -224,8 +262,8 @@ ROW_COUNTS = {
     # fractional structure constants
     ("example49", "super_biderivation", 0, 0),
     ("example49", "commuting_map", 0, 0),
-    # Fraction Laurent coefficients (thirds), Q(q) constants (qplus5) and a
-    # vanishing twist (wz)
+    # a rational constant (thirds), Q(q) constants (qplus5) and a vanishing
+    # twist (wz)
     *[(alg, cls, 0, 0)
       for alg in ("thirds", "qplus5", "wz")
       for cls in ("biderivation", "alpha_biderivation", "commuting_map")],
@@ -274,7 +312,8 @@ bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / (q + 5) * L(m+n);
 alpha L(m) = (1 + q^m) * L(m);
 """
 
-# integer Laurent structure constants with a Fraction content
+# a rational constant, so the rows are built from Q(q) structure constants
+# with constant denominators
 THIRDS = """algebra thirds;
 mode lie;
 family L parity 0 degrees int;
@@ -487,13 +526,15 @@ def test_mod_p_nullity_equals_exact_nullity(alg, cls, parity, s):
     assert modular == exact
 
 
-def _image_mod_p(pol, prime, point):
-    """Image of an exact Laurent row entry under q -> point in F_prime."""
-    acc = 0
-    for e, c in pol.items():
-        c = Fraction(c)
-        acc += c.numerator * pow(c.denominator, -1, prime) * pow(point, e, prime)
-    return acc % prime
+def _image_mod_p(value, prime, point):
+    """Image of an exact row entry, a Laurent polynomial or a Q(q) value,
+    under q -> point in F_prime: image(num) * image(den)^-1."""
+    value = value if isinstance(value, QRational) else QRational(value)
+
+    def image(pol):
+        return sum(c * pow(point, e, prime) for e, c in pol.items())
+
+    return image(value.num) * pow(image(value.den), -1, prime) % prime
 
 
 @pytest.mark.parametrize("alg", [*BUILTIN_NAMES, "thirds", "wz"])
@@ -536,6 +577,7 @@ CLASSES_AND_DEGREES = (
 
 def test_mod_p_nullity_of_fractional_structure_constants():
     p = parse(THIRDS)
+    assert not p.fast_scalars
     for cls, s in CLASSES_AND_DEGREES:
         a = build_ansatz(p, _kind(cls), cls, s=s, window=SMALL)
         assert _mod_p_nullity(p, a) == nullspace(build_system(p, a)).dim
