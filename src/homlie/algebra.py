@@ -29,6 +29,72 @@ def _as_laurent(c):
     return c.num
 
 
+# -- term dicts: generator -> nonzero coefficient in a field, so a product
+# of two coefficients is never zero and only sums are tested for zero
+
+
+def add_terms(a, b):
+    """The sum of two term dicts, as a new dict."""
+    out = dict(a)
+    for g, c in b.items():
+        c0 = out.get(g)
+        if c0 is None:
+            out[g] = c
+        else:
+            c0 = c0 + c
+            if c0.is_zero:
+                del out[g]
+            else:
+                out[g] = c0
+    return out
+
+
+def neg_terms(a):
+    return {g: -c for g, c in a.items()}
+
+
+def extend_bilinear(rule, x, y):
+    """Bilinear extension over two term dicts of a rule that maps each pair
+    of their generators, in order, to (generator, coefficient) pairs."""
+    acc = {}
+    for g1, c1 in x.items():
+        for g2, c2 in y.items():
+            terms = rule(g1, g2)
+            if not terms:
+                continue
+            c12 = c1 * c2
+            for g, r in terms:
+                c = c12 * r
+                c0 = acc.get(g)
+                if c0 is None:
+                    acc[g] = c
+                else:
+                    c0 = c0 + c
+                    if c0.is_zero:
+                        del acc[g]
+                    else:
+                        acc[g] = c0
+    return acc
+
+
+def extend_linear(rule, x):
+    """Linear extension of a generator rule over a term dict."""
+    acc = {}
+    for g1, c1 in x.items():
+        for g, r in rule(g1):
+            c = c1 * r
+            c0 = acc.get(g)
+            if c0 is None:
+                acc[g] = c
+            else:
+                c0 = c0 + c
+                if c0.is_zero:
+                    del acc[g]
+                else:
+                    acc[g] = c0
+    return acc
+
+
 class UnknownBuiltin(ValueError):
     pass
 
@@ -129,21 +195,10 @@ class Vector:
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        t = dict(self.terms)
-        for g, c in other.terms.items():
-            c0 = t.get(g)
-            if c0 is None:
-                t[g] = c
-            else:
-                c0 = c0 + c
-                if c0.is_zero:
-                    del t[g]
-                else:
-                    t[g] = c0
-        return Vector._raw(t)
+        return Vector._raw(add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return Vector._raw({g: -c for g, c in self.terms.items()})
+        return Vector._raw(neg_terms(self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
@@ -408,33 +463,11 @@ class AlgebraPresentation:
 
     def bracket(self, x, y):
         """Bilinear extension of the bracket rules to vectors."""
-        acc = {}
-        for g1, c1 in x.items():
-            for g2, c2 in y.items():
-                c12 = c1 * c2
-                if c12.is_zero:
-                    continue
-                for g, r in self.bracket_gens(g1, g2):
-                    c0 = acc.get(g)
-                    c0 = c12 * r if c0 is None else c0 + c12 * r
-                    if c0.is_zero:
-                        acc.pop(g, None)
-                    else:
-                        acc[g] = c0
-        return Vector._raw(acc)
+        return Vector._raw(extend_bilinear(self.bracket_gens, x.terms, y.terms))
 
     def alpha(self, x):
         """Linear extension of the twist rules to vectors."""
-        acc = {}
-        for g1, c1 in x.items():
-            for g, r in self.alpha_gens(g1):
-                c0 = acc.get(g)
-                c0 = c1 * r if c0 is None else c0 + c1 * r
-                if c0.is_zero:
-                    acc.pop(g, None)
-                else:
-                    acc[g] = c0
-        return Vector._raw(acc)
+        return Vector._raw(extend_linear(self.alpha_gens, x.terms))
 
     def parity_of(self, family):
         return self.families[family].parity

@@ -1,5 +1,10 @@
 """Exhaustive exact verification of algebra axioms and map-class membership
-over a truncation window."""
+over a truncation window.
+
+Each check runs an instance stream of `identities`, which evaluates through
+the extension kernel of `algebra`; the map under test enters it as a
+memoized generator rule (`_wrap_map`), evaluated once per argument tuple.
+"""
 
 from __future__ import annotations
 
@@ -74,41 +79,22 @@ def check_multiplicative(p, window):
     return _collect(p, multiplicative_instances(p, window))
 
 
-# The wrappers evaluate the map at most once per argument within one check;
-# OutOfWindow is not cached, so it is raised again at every call.
-
-
-def _wrap_bilinear(phi, p, window):
+def _wrap_map(fn, p, window):
+    """A linear or bilinear map as a generator rule of the instance streams,
+    evaluated at most once per argument tuple within one check.  OutOfWindow
+    is not cached, so it is raised again at every call."""
     scalar = p.is_scalar
     memo = {}
 
-    def call(g1, g2):
-        terms = memo.get((g1, g2))
+    def call(*args):
+        terms = memo.get(args)
         if terms is None:
-            if not scalar and not (window.contains(g1.degree) and window.contains(g2.degree)):
+            if not scalar and not all(window.contains(g.degree) for g in args):
                 raise OutOfWindow
-            v = phi(g1, g2)
+            v = fn(*args)
             if v is None:
                 raise OutOfWindow
-            terms = memo[g1, g2] = v.terms
-        return terms
-
-    return call
-
-
-def _wrap_linear(f, p, window):
-    scalar = p.is_scalar
-    memo = {}
-
-    def call(g):
-        terms = memo.get(g)
-        if terms is None:
-            if not scalar and not window.contains(g.degree):
-                raise OutOfWindow
-            v = f(g)
-            if v is None:
-                raise OutOfWindow
-            terms = memo[g] = v.terms
+            terms = memo[args] = v.terms.items()
         return terms
 
     return call
@@ -123,7 +109,7 @@ def check_bilinear_class(p, phi, cls, window):
     if cls not in BILINEAR_CLASSES:
         raise ValueError(f"unknown bilinear class {cls!r}")
     stream = bilinear_instances(
-        p, cls, window, _wrap_bilinear(phi, p, window), phi.parity, strict=True
+        p, cls, window, _wrap_map(phi, p, window), phi.parity, strict=True
     )
     return _collect(p, stream)
 
@@ -137,12 +123,12 @@ def check_linear_class(p, f, cls, window, k=1):
     if cls not in LINEAR_CLASSES:
         raise ValueError(f"unknown linear class {cls!r}")
     stream = linear_instances(
-        p, cls, window, _wrap_linear(f, p, window), f.parity, k=k, strict=True
+        p, cls, window, _wrap_map(f, p, window), f.parity, k=k, strict=True
     )
     return _collect(p, stream)
 
 
 def check_bilinear_skew(p, phi, window):
     """Whether phi(x,y) = -(-1)^{|x||y|} phi(y,x) holds on window pairs."""
-    stream = skew_instances(p, _wrap_bilinear(phi, p, window), window)
+    stream = skew_instances(p, _wrap_map(phi, p, window), window)
     return _collect(p, stream)

@@ -508,6 +508,9 @@ def main(argv=None):
     except UnknownGenerator as exc:
         print(f"error: unknown generator {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: the input is too large to evaluate in memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ The checker evaluates these instance streams on concrete maps.  They are
 also the reference for the solver's row generator (`solver._rows`), which
 writes the same identities directly as linear rows in the map's unknowns:
 the test suite compares the residuals of the two on the same maps.  Values
-are dicts generator -> Q(q) coefficient.
+are term dicts generator -> Q(q) coefficient.  Brackets, twists and the map
+are all evaluated through `algebra.extend_bilinear` and `extend_linear`,
+which extend a rule on generators over term dicts.
 
 An instance is skipped (OutOfWindow) when it would evaluate the unknown map
 outside the window.  In strict mode, used by the checker, an instance is
@@ -14,6 +16,9 @@ truncated table never produces a spurious witness.
 
 from __future__ import annotations
 
+from .algebra import add_terms as m_add
+from .algebra import extend_bilinear, extend_linear
+from .algebra import neg_terms as m_neg
 from .qfield import QRational
 
 Q1 = QRational(1)
@@ -50,28 +55,6 @@ def check_class_mode(p, cls):
         raise ClassModeMismatch(f"{cls} requires a lie presentation; use the super variant")
 
 
-# -- generic vector-with-coefficients helpers ------------------------------
-
-
-def m_add(a, b):
-    out = dict(a)
-    for g, c in b.items():
-        c0 = out.get(g)
-        if c0 is None:
-            out[g] = c
-        else:
-            c0 = c0 + c
-            if c0.is_zero:
-                del out[g]
-            else:
-                out[g] = c0
-    return out
-
-
-def m_neg(a):
-    return {g: -c for g, c in a.items()}
-
-
 class EvalContext:
     """Evaluation helpers bound to one presentation, window and strictness."""
 
@@ -89,45 +72,10 @@ class EvalContext:
         return d
 
     def bracket(self, u, v):
-        bracket_gens = self.p.bracket_gens
-        acc = {}
-        for g1, c1 in u.items():
-            for g2, c2 in v.items():
-                rules = bracket_gens(g1, g2)
-                if not rules:
-                    continue
-                c12 = c1 * c2
-                if c12.is_zero:
-                    continue
-                for g, r in rules:
-                    c = c12 * r
-                    c0 = acc.get(g)
-                    if c0 is None:
-                        acc[g] = c
-                    else:
-                        c0 = c0 + c
-                        if c0.is_zero:
-                            del acc[g]
-                        else:
-                            acc[g] = c0
-        return self._guard(acc)
+        return self._guard(extend_bilinear(self.p.bracket_gens, u, v))
 
     def alpha(self, u):
-        alpha_gens = self.p.alpha_gens
-        acc = {}
-        for g1, c1 in u.items():
-            for g, r in alpha_gens(g1):
-                c = c1 * r
-                c0 = acc.get(g)
-                if c0 is None:
-                    acc[g] = c
-                else:
-                    c0 = c0 + c
-                    if c0.is_zero:
-                        del acc[g]
-                    else:
-                        acc[g] = c0
-        return self._guard(acc)
+        return self._guard(extend_linear(self.p.alpha_gens, u))
 
     def alpha_k(self, u, k):
         for _ in range(k):
@@ -136,51 +84,18 @@ class EvalContext:
 
     def apply_bilinear(self, phi, u, v):
         """Bilinear extension of phi over two concrete vectors."""
-        acc = {}
-        for g1, c1 in u.items():
-            for g2, c2 in v.items():
-                c12 = c1 * c2
-                if c12.is_zero:
-                    continue
-                for g, c in phi(g1, g2).items():
-                    c = c12 * c
-                    if c.is_zero:
-                        continue
-                    c0 = acc.get(g)
-                    if c0 is None:
-                        acc[g] = c
-                    else:
-                        c0 = c0 + c
-                        if c0.is_zero:
-                            del acc[g]
-                        else:
-                            acc[g] = c0
-        return self._guard(acc)
+        return self._guard(extend_bilinear(phi, u, v))
 
     def apply_linear(self, f, u):
-        acc = {}
-        for g1, c1 in u.items():
-            for g, c in f(g1).items():
-                c = c1 * c
-                if c.is_zero:
-                    continue
-                c0 = acc.get(g)
-                if c0 is None:
-                    acc[g] = c
-                else:
-                    c0 = c0 + c
-                    if c0.is_zero:
-                        del acc[g]
-                    else:
-                        acc[g] = c0
-        return self._guard(acc)
+        return self._guard(extend_linear(f, u))
 
 
 def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
     """Yield (equation id, inputs, lhs, rhs) for each interior instance.
 
-    phi(g1, g2) must return a dict generator -> coefficient and raise
-    OutOfWindow when an argument is not available.
+    phi(g1, g2) must return its value as (generator, coefficient) pairs,
+    such as a term dict's items(), and raise OutOfWindow when an argument is
+    not available.
     """
     check_class_mode(p, cls)
     ctx = EvalContext(p, window, strict)

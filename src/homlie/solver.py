@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import gcd as _igcd
 from typing import Dict, List, Optional, Tuple
 
@@ -70,8 +71,9 @@ class HomogeneousAnsatz:
     Slots are keyed (family1, deg1, family2, deg2, target_family, target_deg)
     for bilinear maps and (family, deg, target_family, target_deg) for linear
     ones; keys are shared across windows so solutions restrict naturally.
-    Scalar presentations have no grading; their ansatz has degree 0 and
-    target degree None.
+    A target degree outside a finite family's index set has no slot
+    (`targets_at`).  Scalar presentations have no grading; their ansatz has
+    degree 0 and target degree None, and any other degree is refused.
     """
 
     def __init__(self, p, kind, cls, s, parity, window, k=1):
@@ -80,30 +82,41 @@ class HomogeneousAnsatz:
         check_class_mode(p, cls)
         if not p.is_super and parity != 0:
             raise ClassModeMismatch("odd maps need a super presentation")
+        if p.is_scalar and s != 0:
+            raise ClassModeMismatch(
+                f"{p.name} is unindexed, so its maps have degree 0, not {s}"
+            )
         self.p = p
         self.kind = kind
         self.cls = cls
         self.k = k
         self.parity = parity
         self.window = window
-        self.degree = 0 if p.is_scalar else s
+        self.degree = s
         fams = list(p.families.values())
         self._targets = {}
         for par in (0, 1):
             want = (par + parity) % 2
             self._targets[par] = tuple(f.name for f in fams if f.parity == want)
+        self._finite = {
+            f.name: f.degrees for f in fams if f.degrees not in ("all", None)
+        }
+        # only a finite family needs the per-degree rule of `targets_at`
+        targets_at = self.targets_at if self._finite else None
+        targets = self._targets
         slots = []
         gens = p.gens_in(window)
         if kind == "bilinear":
             for g1 in gens:
                 for g2 in gens:
                     td = None if p.is_scalar else g1.degree + g2.degree + s
-                    for tf in self._targets[(g1.parity + g2.parity) % 2]:
+                    par = (g1.parity + g2.parity) % 2
+                    for tf in targets_at(par, td) if targets_at else targets[par]:
                         slots.append((g1.family, g1.degree, g2.family, g2.degree, tf, td))
         else:
             for g in gens:
                 td = None if p.is_scalar else g.degree + s
-                for tf in self._targets[g.parity]:
+                for tf in targets_at(g.parity, td) if targets_at else targets[g.parity]:
                     slots.append((g.family, g.degree, tf, td))
         slots.sort(key=self._slot_sort_key)
         self.slots = slots
@@ -131,21 +144,30 @@ class HomogeneousAnsatz:
     def __len__(self):
         return len(self.slots)
 
+    def targets_at(self, parity, degree):
+        """Target families of the slots whose arguments have total parity
+        `parity` and whose target degree is `degree`: a finite family has
+        none at a degree outside its index set."""
+        targets = self._targets[parity]
+        finite = self._finite
+        if not finite:
+            return targets
+        return tuple(tf for tf in targets if tf not in finite or degree in finite[tf])
+
+    def decode(self, key):
+        """(argument generators, target generator) of a slot key."""
+        parity_of = self.p.parity_of
+        args = tuple(
+            Generator(key[i], key[i + 1], parity_of(key[i])) for i in range(0, len(key) - 2, 2)
+        )
+        return args, Generator(key[-2], key[-1], parity_of(key[-2]))
+
     def slot_vector_of_map(self, concrete):
         """Coordinates of a concrete map in this ansatz's slots."""
         out = {}
         for key in self.slots:
-            if self.kind == "bilinear":
-                f1, d1, f2, d2, tf, td = key
-                g1 = Generator(f1, d1, self.p.parity_of(f1))
-                g2 = Generator(f2, d2, self.p.parity_of(f2))
-                val = concrete(g1, g2)
-                target = Generator(tf, td, self.p.parity_of(tf))
-            else:
-                f1, d1, tf, td = key
-                g1 = Generator(f1, d1, self.p.parity_of(f1))
-                val = concrete(g1)
-                target = Generator(tf, td, self.p.parity_of(tf))
+            args, target = self.decode(key)
+            val = concrete(*args)
             if val is None:
                 raise OutOfWindow(f"map undefined at slot {key}")
             c = val.get(target)
@@ -224,7 +246,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     cls = ansatz.cls
     scalar = p.is_scalar
     index = ansatz.index
-    targets = ansatz._targets
+    targets_at = ansatz.targets_at
     degree = ansatz.degree
     contains = ansatz.window.contains
     fam_parity = {f.name: f.parity for f in p.families.values()}
@@ -267,7 +289,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
             td = None if scalar else sum(g.degree for g in args) + degree
             out = slot_cache[args] = tuple(
                 (index[key + (tf, td)], Generator(tf, td, fam_parity[tf]))
-                for tf in targets[sum(g.parity for g in args) % 2]
+                for tf in targets_at(sum(g.parity for g in args) % 2, td)
             )
         return out
 
@@ -1022,26 +1044,14 @@ def nullspace_dim_specialized(sys, q0):
 
 def map_from_assignment(ansatz, vec):
     """Turn a slot assignment into a concrete table-backed map."""
-    p = ansatz.p
-    if ansatz.kind == "bilinear":
-        table = {}
-        for g1 in p.gens_in(ansatz.window):
-            for g2 in p.gens_in(ansatz.window):
-                table[(g1, g2)] = Vector({})
-        for key, c in vec.items():
-            f1, d1, f2, d2, tf, td = key
-            g1 = Generator(f1, d1, p.parity_of(f1))
-            g2 = Generator(f2, d2, p.parity_of(f2))
-            target = Generator(tf, td, p.parity_of(tf))
-            table[(g1, g2)] = table[(g1, g2)] + Vector.of(target, c)
-        return BilinearMap.from_table(ansatz.parity, table, degree=ansatz.degree)
-    table = {g: Vector({}) for g in p.gens_in(ansatz.window)}
+    bilinear = ansatz.kind == "bilinear"
+    gens = ansatz.p.gens_in(ansatz.window)
+    table = {args: Vector({}) for args in product(gens, repeat=2 if bilinear else 1)}
     for key, c in vec.items():
-        f1, d1, tf, td = key
-        g1 = Generator(f1, d1, p.parity_of(f1))
-        target = Generator(tf, td, p.parity_of(tf))
-        table[g1] = table[g1] + Vector.of(target, c)
-    return LinearMap.from_table(ansatz.parity, table, degree=ansatz.degree)
+        args, target = ansatz.decode(key)
+        table[args] = table[args] + Vector.of(target, c)
+    cls = BilinearMap if bilinear else LinearMap
+    return cls(ansatz.parity, lambda *args: table.get(args), degree=ansatz.degree)
 
 
 # -- span utilities over id vectors ----------------------------------------

@@ -21,7 +21,7 @@ from homlie.checker import (
     check_linear_class,
     check_multiplicative,
     _collect,
-    _wrap_bilinear,
+    _wrap_map,
 )
 from homlie.classify import known_map
 from homlie.identities import OutOfWindow, bilinear_instances
@@ -296,7 +296,7 @@ def test_memo_keeps_the_report_of_a_wrong_map(w22q):
     def plain(g1, g2):
         if not (window.contains(g1.degree) and window.contains(g2.degree)):
             raise OutOfWindow
-        return phi(g1, g2).terms
+        return phi(g1, g2).terms.items()
 
     want = _collect(w22q, bilinear_instances(
         w22q, "alpha_biderivation", window, plain, phi.parity, strict=True
@@ -311,7 +311,7 @@ def test_memo_does_not_cache_out_of_window(w22q):
     calls = Counter()
     g = w22q.generator("L", 0)
     phi = _counting_bilinear(BilinearMap.from_table(0, {}), calls)
-    call = _wrap_bilinear(phi, w22q, Window(-2, 2))
+    call = _wrap_map(phi, w22q, Window(-2, 2))
     for _ in range(2):
         with pytest.raises(OutOfWindow):
             call(g, g)

@@ -428,6 +428,42 @@ def test_map_outside_the_algebra_exits_two(capsys):
         assert err == [f"error: unknown generator {missing!r}"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--class", "biderivation"),
+    ("commuting-maps",),
+])
+def test_finite_index_set_solves(tmp_path, capsys, argv):
+    path = tmp_path / "finite.alg"
+    path.write_text("algebra finite; mode lie; family L parity 0 degrees {0, 1, 2};\n"
+                    "bracket [L(m), L(n)] = (m - n) * L(m+n);\n"
+                    "alpha L(m) = (1) * L(m);\n")
+    code, _, err = run(capsys, *argv, "--algebra", str(path), "--window", "0..2")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--class", "alpha-super-biderivation", "--degree", "3"),
+    ("classify", "--class", "super-biderivation", "--degree", "3"),
+])
+def test_degree_shift_on_an_unindexed_presentation_exits_two(capsys, argv):
+    code, err = run_bad_input(capsys, *argv, "--algebra", "example49")
+    assert code == 2
+    assert err == ["error: example49 is unindexed, so its maps have degree 0, not 3"]
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "stable_solve", exhausted)
+    code, err = run_bad_input(
+        capsys, "solve", "--algebra", "wittq", "--class", "biderivation",
+        "--window", "-1..1", "--degree", "99999999999",
+    )
+    assert code == 2
+    assert err == ["error: the input is too large to evaluate in memory"]
+
+
 def test_repeated_known_exits_two(capsys):
     code, err = run_bad_input(
         capsys, "classify", "--algebra", "wittq", "--class", "biderivation",

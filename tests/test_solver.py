@@ -7,8 +7,7 @@ import pytest
 from homlie import qfield, solver
 from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.checker import (
-    _wrap_bilinear,
-    _wrap_linear,
+    _wrap_map,
     check_bilinear_class,
     check_linear_class,
 )
@@ -107,6 +106,20 @@ def test_odd_parity_needs_super(wittq):
                      window=SMALL)
     with pytest.raises(ClassModeMismatch):
         build_ansatz(wittq, "bilinear", "super_biderivation", s=0, window=SMALL)
+
+
+def test_unindexed_ansatz_takes_degree_zero_only(example49):
+    for s in (-1, 3):
+        with pytest.raises(ClassModeMismatch, match=f"degree 0, not {s}$"):
+            build_ansatz(example49, "bilinear", "super_biderivation", s=s, window=SMALL)
+    assert build_ansatz(example49, "linear", "commuting_map", s=0, window=SMALL).degree == 0
+
+
+def test_finite_family_slots_target_its_index_set():
+    a = build_ansatz(_presentation("finite"), "bilinear", "biderivation", s=0,
+                     window=Window(-1, 3))
+    assert {key[-1] for key in a.slots} == {0, 1, 2}
+    assert len(a) == 6
 
 
 # -- nullspace basics -----------------------------------------------------------
@@ -265,7 +278,7 @@ ROW_COUNTS = {
     # a rational constant (thirds), Q(q) constants (qplus5) and a vanishing
     # twist (wz)
     *[(alg, cls, 0, 0)
-      for alg in ("thirds", "qplus5", "wz")
+      for alg in ("thirds", "qplus5", "wz", "finite")
       for cls in ("biderivation", "alpha_biderivation", "commuting_map")],
 ])
 def test_system_rows_are_distinct_primitive_integer_tuples(alg, cls, parity, s):
@@ -321,7 +334,15 @@ bracket [L(m), L(n)] = (qnm(n) - qnm(m)) / 3 * L(m+n);
 alpha L(m) = (1 + q^m) * L(m);
 """
 
-PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS}
+# a finite index set: a bracket target outside it has no slot
+FINITE = """algebra finite;
+mode lie;
+family L parity 0 degrees {0, 1, 2};
+bracket [L(m), L(n)] = (m - n) * L(m+n);
+alpha L(m) = (1) * L(m);
+"""
+
+PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS, "finite": FINITE}
 
 
 def _presentation(name):
@@ -347,11 +368,11 @@ def _instance_residuals(p, a, vec):
     concrete = map_from_assignment(a, {a.slots[j]: v for j, v in vec.items()})
     if a.kind == "bilinear":
         stream = bilinear_instances(
-            p, a.cls, a.window, _wrap_bilinear(concrete, p, a.window), a.parity
+            p, a.cls, a.window, _wrap_map(concrete, p, a.window), a.parity
         )
     else:
         stream = linear_instances(
-            p, a.cls, a.window, _wrap_linear(concrete, p, a.window), a.parity, k=a.k
+            p, a.cls, a.window, _wrap_map(concrete, p, a.window), a.parity, k=a.k
         )
     out = {}
     for eq_id, inputs, lhs, rhs in stream:
@@ -394,10 +415,13 @@ def _assert_rows_match_instance_residuals(p, a):
     ("qplus5", "alpha_biderivation", 0, 1),
     ("qplus5", "derivation", 0, 0),
     ("qplus5", "commuting_map", 0, 0),
+    ("finite", "biderivation", 0, 0),
+    ("finite", "commuting_map", 0, 0),
 ])
 def test_rows_match_the_instance_residuals(alg, cls, parity, s):
     p = _presentation(alg)
-    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    window = Window(-1, 3) if alg == "finite" else SMALL
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
     _assert_rows_match_instance_residuals(p, a)
 
 
