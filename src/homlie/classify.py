@@ -1,15 +1,21 @@
 """Interpretation of solution spaces: matching against the named maps,
 deriving linear commuting maps, and deciding which commuting maps are
-automorphisms or derivations."""
+automorphisms or derivations.
+
+The named (super-)biderivations are the maps the paper's linear commuting
+maps induce, (x, y) -> [x, f(y)], or [f(x), y] on a super presentation.
+Each commuting map is declared once, as a family move (`COMMUTING_MAPS`),
+so a named map's values come from the bracket rules alone.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .algebra import Vector, Window
-from .maps import BilinearMap, LinearMap, scaled_bracket
-from .qfield import QRational, qbracket, qbrace
+from .algebra import Vector, Window, extend_linear
+from .maps import BilinearMap, LinearMap
+from .qfield import QRational
 from .solver import (
     SolutionSpace,
     express_in_span,
@@ -19,7 +25,6 @@ from .solver import (
 )
 
 Q0 = QRational(0)
-Q1 = QRational(1)
 
 
 class DependentKnowns(ValueError):
@@ -37,50 +42,65 @@ class UnknownMap(KeyError):
 # -- the named maps ---------------------------------------------------------
 
 
-def phi_ad(p):
-    """The standard inner map (x, y) -> [x, y]."""
-    return scaled_bracket(p)
-
-
-def phi_0(p):
-    """Sends (L_m, L_n) to the shadow family: qbracket(n-m) * W_{m+n}."""
-    def rule(g1, g2):
-        if g1.family == "L" and g2.family == "L":
-            target = p.generator("W", g1.degree + g2.degree)
-            return Vector.of(target, qbracket(g2.degree - g1.degree))
-        return Vector({})
-
-    return BilinearMap.from_rule(0, rule, degree=0)
-
-
-def phi_minus1(p):
-    """Odd map (L_m, L_n) -> (qbrace(n) - qbrace(m)) * G_{m+n-1}."""
-    def rule(g1, g2):
-        if g1.family == "L" and g2.family == "L":
-            target = p.generator("G", g1.degree + g2.degree - 1)
-            return Vector.of(target, qbrace(g2.degree) - qbrace(g1.degree))
-        return Vector({})
-
-    return BilinearMap.from_rule(1, rule, degree=-1)
-
-
-# name -> (constructor, the indexed families the map reads and writes)
-KNOWN_MAPS = {
-    "phi_ad": (phi_ad, ()),
-    "phi_0": (phi_0, ("L", "W")),
-    "phi_minus1": (phi_minus1, ("L", "G")),
+# the paper's linear commuting maps, as family moves: name -> (source family,
+# target family, degree shift, parity) for the map sending each generator of
+# the source to the target generator `shift` degrees away with coefficient 1,
+# and every other generator to 0; no families means the identity
+COMMUTING_MAPS = {
+    "identity": (None, None, 0, 0),
+    "L->W": ("L", "W", 0, 0),
+    "L->G": ("L", "G", -1, 1),
 }
+
+# named (super-)biderivation -> the commuting map that induces it
+KNOWN_MAPS = {"phi_ad": "identity", "phi_0": "L->W", "phi_minus1": "L->G"}
+
+# (algebra, parity) -> the named maps spanning its (super-)biderivations of
+# that parity; the commuting maps inducing them span its commuting maps
+PAPER_MAPS = {
+    ("w22q", 0): ("phi_ad", "phi_0"),
+    ("wittq", 0): ("phi_ad",),
+    ("wittsuperq", 0): ("phi_ad",),
+    ("wittsuperq", 1): ("phi_minus1",),
+}
+
+
+def commuting_map(name, p):
+    """The commuting map `name` on p; UnknownGenerator when p lacks its
+    source or target family."""
+    source, target, shift, parity = COMMUTING_MAPS[name]
+    if source is None:
+        return LinearMap.from_rule(parity, Vector.of, degree=None if p.is_scalar else shift)
+    p.generator(source, 0)
+    p.generator(target, 0)
+
+    def rule(g):
+        if g.family != source:
+            return Vector({})
+        return Vector.of(p.generator(target, g.degree + shift))
+
+    return LinearMap.from_rule(parity, rule, degree=shift)
+
+
+def induced(p, f):
+    """The bilinear map a linear map f induces: (x, y) -> [f(x), y] on a
+    super presentation, [x, f(y)] otherwise; None wherever f is None."""
+    if p.is_super:
+        def rule(g1, g2):
+            img = f(g1)
+            return None if img is None else p.bracket(img, Vector.of(g2))
+    else:
+        def rule(g1, g2):
+            img = f(g2)
+            return None if img is None else p.bracket(Vector.of(g1), img)
+    return BilinearMap.from_rule(f.parity, rule, degree=f.degree)
 
 
 def known_map(name, p):
     """The named map on p; UnknownGenerator when p lacks one of its families."""
-    try:
-        make, families = KNOWN_MAPS[name]
-    except KeyError:
-        raise UnknownMap(f"unknown named map {name!r}") from None
-    for family in families:
-        p.generator(family, 0)
-    return make(p)
+    if name not in KNOWN_MAPS:
+        raise UnknownMap(f"unknown named map {name!r}")
+    return induced(p, commuting_map(KNOWN_MAPS[name], p))
 
 
 # -- decomposition -----------------------------------------------------------
@@ -345,21 +365,11 @@ def corollary_check(p, family, prop, window):
                 continue
             fx = [f(x) for f in maps]
             fy = [f(y) for f in maps]
-            fbxy = []
-            ok = True
-            for f in maps:
-                acc = Vector({})
-                for g, c in bxy.items():
-                    img = f(g)
-                    if img is None:
-                        ok = False
-                        break
-                    acc = acc + c * img
-                if not ok:
-                    break
-                fbxy.append(acc)
-            if not ok or any(v is None for v in fx) or any(v is None for v in fy):
+            if any(v is None for v in fx + fy) or any(
+                f(g) is None for f in maps for g in bxy.terms
+            ):
                 continue
+            fbxy = [extend_linear(lambda g, f=f: f(g).items(), bxy.terms) for f in maps]
             per_gen = {}
 
             def put(gen, mono, c):

@@ -23,7 +23,8 @@ from .checker import (
     check_multiplicative,
 )
 from .classify import (
-    DependentKnowns, UnknownMap, corollary_check, decompose, known_map, solve_commuting_maps,
+    KNOWN_MAPS, PAPER_MAPS, DependentKnowns, UnknownMap, corollary_check, decompose, known_map,
+    solve_commuting_maps,
 )
 from .dsl import ParseError, load
 from .qfield import ForbiddenSpecialization, QRational
@@ -132,7 +133,7 @@ def build_parser():
 
     sub = sp.add_parser("check-map", help="check a named map against a class")
     _common(sub)
-    sub.add_argument("--map", required=True, choices=("phi_ad", "phi_0", "phi_minus1"))
+    sub.add_argument("--map", required=True, choices=tuple(KNOWN_MAPS))
     sub.add_argument("--class", dest="cls", required=True,
                      choices=sorted(BILINEAR_FLAGS))
 
@@ -335,11 +336,7 @@ def cmd_classify(args):
     if args.knowns:
         names = [x.strip() for x in args.knowns.split(",") if x.strip()]
     else:
-        names = ["phi_ad"]
-        if p.name == "w22q":
-            names.append("phi_0")
-        if p.name == "wittsuperq" and args.parity == 1:
-            names = ["phi_minus1"]
+        names = list(PAPER_MAPS.get((p.name, args.parity), ("phi_ad",)))
     knowns = {}
     for name in names:
         if name in knowns:

@@ -8,8 +8,6 @@ degree-homogeneous, the degree shift.
 
 from __future__ import annotations
 
-from .algebra import Vector
-
 
 class LinearMap:
     __slots__ = ("parity", "degree", "_fn")
@@ -27,37 +25,15 @@ class LinearMap:
     def from_rule(cls, parity, rule, degree=None):
         return cls(parity, rule, degree=degree)
 
-    def __call__(self, gen):
-        return self._fn(gen)
+    def __call__(self, *gens):
+        return self._fn(*gens)
 
 
-class BilinearMap:
-    __slots__ = ("parity", "degree", "_fn")
+class BilinearMap(LinearMap):
+    """A LinearMap of two generators; a table is keyed by their pair."""
 
-    def __init__(self, parity, fn, degree=None):
-        self.parity = parity
-        self.degree = degree
-        self._fn = fn
+    __slots__ = ()
 
     @classmethod
     def from_table(cls, parity, table, degree=None):
         return cls(parity, lambda g1, g2: table.get((g1, g2)), degree=degree)
-
-    @classmethod
-    def from_rule(cls, parity, rule, degree=None):
-        return cls(parity, rule, degree=degree)
-
-    def __call__(self, g1, g2):
-        return self._fn(g1, g2)
-
-
-def scaled_bracket(p, coeff=1, parity=0):
-    """The inner map (x, y) -> coeff * [x, y]."""
-    def rule(g1, g2):
-        out = {}
-        for g, c in p.bracket_gens(g1, g2):
-            out[g] = coeff * c
-        return Vector(out)
-
-    degree = None if p.is_scalar else 0
-    return BilinearMap.from_rule(parity, rule, degree=degree)

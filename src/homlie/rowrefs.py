@@ -566,17 +566,7 @@ def check_composite(p, comp, sample, s, window):
         p, "bilinear", comp.cls, s=s, parity=comp.parity, window=window
     )
     rows = [_instance_row(p, ansatz, ref, sample, s) for ref in parts]
-    m, n, pp = sample
-    out = {}
-    for key, coeff in comp.entries(m, n, pp, s):
-        f1, d1, f2, d2, tf = key
-        j = ansatz.index[(f1, d1, f2, d2, tf, d1 + d2 + s)]
-        c0 = out.get(j)
-        c0 = coeff if c0 is None else c0 + coeff
-        if c0.is_zero:
-            out.pop(j, None)
-        else:
-            out[j] = c0
+    out = _reference_row(ansatz, comp, sample, s)
     if span_rank(rows + [out]) != span_rank(rows):
         raise AssertionError(f"{comp.name}: relation not implied at {sample}, s={s}")
     for row in rows:

@@ -23,7 +23,10 @@ from .checker import (
     check_linear_class,
     check_multiplicative,
 )
-from .classify import corollary_check, decompose, known_map, solve_commuting_maps
+from .classify import (
+    KNOWN_MAPS, PAPER_MAPS, commuting_map, corollary_check, decompose, induced, known_map,
+    solve_commuting_maps,
+)
 from .maps import BilinearMap, LinearMap
 from .qfield import QRational, qbracket, qbrace, qpow
 from .solver import (
@@ -31,7 +34,6 @@ from .solver import (
     build_system,
     nullspace,
     nullspace_dim_specialized,
-    span_rank,
     stable_solve,
 )
 from . import rowrefs
@@ -98,6 +100,20 @@ def _result(name, ok, details=None):
     return CriterionResult(name, "pass" if ok else "fail", details or [])
 
 
+def _biderivation_class(p):
+    return "super_biderivation" if p.is_super else "biderivation"
+
+
+def _expected_commuting(p, parity):
+    """The commuting maps inducing the paper's named maps of (p, parity), by
+    degree shift: {s: {named map: commuting map}}."""
+    out = {}
+    for name in PAPER_MAPS[(p.name, parity)]:
+        f = commuting_map(KNOWN_MAPS[name], p)
+        out.setdefault(f.degree, {})[name] = f
+    return out
+
+
 # -- parallel scan machinery -------------------------------------------------
 
 
@@ -160,23 +176,17 @@ class AcceptanceSuite:
 
         def add(alg, kind, cls, parity, knowns_at=None, k=1):
             for s in degrees:
-                knowns = None
-                if knowns_at is not None and s in knowns_at:
-                    knowns = knowns_at[s]
+                knowns = knowns_at.get(s) if knowns_at else None
                 specs.append((
                     (alg, kind, cls, parity, s),
                     (alg, kind, cls, k, s, parity, w.lo, w.hi, self.cfg.delta,
                      knowns, True),
                 ))
 
-        add("w22q", "bilinear", "biderivation", 0,
-            knowns_at={0: ("phi_ad", "phi_0")})
-        add("wittq", "bilinear", "biderivation", 0,
-            knowns_at={0: ("phi_ad",)})
-        add("wittsuperq", "bilinear", "super_biderivation", 0,
-            knowns_at={0: ("phi_ad",)})
-        add("wittsuperq", "bilinear", "super_biderivation", 1,
-            knowns_at={-1: ("phi_minus1",)})
+        for alg, parity in PAPER_MAPS:
+            p = builtin(alg)
+            knowns_at = {s: tuple(maps) for s, maps in _expected_commuting(p, parity).items()}
+            add(alg, "bilinear", _biderivation_class(p), parity, knowns_at)
         add("w22q", "bilinear", "alpha_biderivation", 0)
         add("wittq", "bilinear", "alpha_biderivation", 0)
         add("wittsuperq", "bilinear", "alpha_super_biderivation", 0)
@@ -245,42 +255,37 @@ class AcceptanceSuite:
                 details.append(f"{alg} {cls} parity {parity} s={s}: dim {r['dim']} != 0")
         return ok, details
 
+    def _named_span(self, alg, parity, label=""):
+        """The paper's (super-)biderivations of (alg, parity): the named maps
+        span the space at their degree, and every other degree vanishes."""
+        p = builtin(alg)
+        cls = _biderivation_class(p)
+        ((s, maps),) = _expected_commuting(p, parity).items()
+        span = ", ".join(maps) if len(maps) == 1 else "{%s}" % ", ".join(maps)
+        r = self._scan(alg, "bilinear", cls, parity, s)
+        ok = r["dim"] == len(maps) and r["residual"] == 0
+        details = [
+            f"{label}s={s}: stable dim {r['dim']} (want {len(maps)}), "
+            f"residual vs {span} = {r['residual']}"
+        ]
+        good, det = self._vanishing_scan(alg, "bilinear", cls, parity, keep=(s,))
+        details += det or [f"{label}s != {s}: all stable dims 0"]
+        return ok and good, details
+
     def criterion_03_w22q(self):
-        details = []
-        r0 = self._scan("w22q", "bilinear", "biderivation", 0, 0)
-        ok = r0["dim"] == 2 and r0["residual"] == 0
-        details.append(
-            f"s=0: stable dim {r0['dim']} (want 2), residual vs "
-            f"{{phi_ad, phi_0}} = {r0['residual']}"
-        )
-        ok2, det2 = self._vanishing_scan("w22q", "bilinear", "biderivation", 0, keep=(0,))
-        details += det2 or ["s != 0: all stable dims 0"]
-        return _result("03 w22q biderivations = span{phi_ad, phi_0}", ok and ok2, details)
+        ok, details = self._named_span("w22q", 0)
+        return _result("03 w22q biderivations = span{phi_ad, phi_0}", ok, details)
 
     def criterion_04_wittq(self):
-        details = []
-        r0 = self._scan("wittq", "bilinear", "biderivation", 0, 0)
-        ok = r0["dim"] == 1 and r0["residual"] == 0
-        details.append(f"s=0: stable dim {r0['dim']} (want 1), residual vs phi_ad = {r0['residual']}")
-        ok2, det2 = self._vanishing_scan("wittq", "bilinear", "biderivation", 0, keep=(0,))
-        details += det2 or ["s != 0: all stable dims 0"]
-        return _result("04 wittq biderivations are inner", ok and ok2, details)
+        ok, details = self._named_span("wittq", 0)
+        return _result("04 wittq biderivations are inner", ok, details)
 
     def criterion_05_wittsuperq(self):
-        details = []
-        re0 = self._scan("wittsuperq", "bilinear", "super_biderivation", 0, 0)
-        ok = re0["dim"] == 1 and re0["residual"] == 0
-        details.append(f"even s=0: stable dim {re0['dim']} (want 1), residual vs phi_ad = {re0['residual']}")
-        oke, dete = self._vanishing_scan("wittsuperq", "bilinear", "super_biderivation", 0, keep=(0,))
-        details += dete or ["even s != 0: all stable dims 0"]
-        ro = self._scan("wittsuperq", "bilinear", "super_biderivation", 1, -1)
-        ok2 = ro["dim"] == 1 and ro["residual"] == 0
-        details.append(f"odd s=-1: stable dim {ro['dim']} (want 1), residual vs phi_minus1 = {ro['residual']}")
-        oko, deto = self._vanishing_scan("wittsuperq", "bilinear", "super_biderivation", 1, keep=(-1,))
-        details += deto or ["odd s != -1: all stable dims 0"]
+        ok_even, even = self._named_span("wittsuperq", 0, "even ")
+        ok_odd, odd = self._named_span("wittsuperq", 1, "odd ")
         return _result(
             "05 wittsuperq: even super-biderivations inner, odd = span{phi_minus1}",
-            ok and oke and ok2 and oko, details,
+            ok_even and ok_odd, even + odd,
         )
 
     def criterion_06_alpha_vanishing(self):
@@ -364,85 +369,34 @@ class AcceptanceSuite:
             return _result("08 generated rows match hand-coded references",
                            False, [str(exc)])
 
-    def _expected_commuting(self, p, parity):
-        """Hand-built commuting families for the three infinite presentations."""
-        w = self.cfg.window
-        gens = p.gens_in(w)
-        expected = []
-        if p.name == "w22q" and parity == 0:
-            expected.append(LinearMap.from_table(0, {g: Vector.of(g) for g in gens}))
-            table = {}
-            for g in gens:
-                if g.family == "L":
-                    table[g] = Vector.of(p.generator("W", g.degree))
-                else:
-                    table[g] = Vector({})
-            expected.append(LinearMap.from_table(0, table, degree=0))
-        elif p.name == "wittq" and parity == 0:
-            expected.append(LinearMap.from_table(0, {g: Vector.of(g) for g in gens}))
-        elif p.name == "wittsuperq" and parity == 0:
-            expected.append(LinearMap.from_table(0, {g: Vector.of(g) for g in gens}))
-        elif p.name == "wittsuperq" and parity == 1:
-            table = {}
-            for g in gens:
-                if g.family == "L":
-                    table[g] = Vector.of(p.generator("G", g.degree - 1))
-                else:
-                    table[g] = Vector({})
-            expected.append(LinearMap.from_table(1, table, degree=-1))
-        return expected
-
     def criterion_09_commuting(self):
         details = []
         ok = True
         self._families = {}
-        for alg, parity in (("w22q", 0), ("wittq", 0), ("wittsuperq", 0), ("wittsuperq", 1)):
+        for alg, parity in PAPER_MAPS:
             p = builtin(alg)
             fam = solve_commuting_maps(
                 p, parity, self.cfg.window, delta=self.cfg.delta,
                 degree_range=self.cfg.degree_range,
             )
             self._families[(alg, parity)] = (p, fam)
-            expected = self._expected_commuting(p, parity)
-            good = fam.dim == len(expected)
-            # span equality in slot coordinates, degree component by component
-            if good and fam.dim:
-                vecs = []
-                for (s, vec, _) in fam.instances:
-                    ansatz = fam.spaces[s].ansatz
-                    vecs.append({ansatz.index[k]: v for k, v in vec.items()})
-                evecs = []
-                for f in expected:
-                    s = f.degree or 0
-                    ansatz = fam.spaces[s].ansatz
-                    keyed = ansatz.slot_vector_of_map(f)
-                    evecs.append({ansatz.index[k]: v for k, v in keyed.items()})
-                good = span_rank(vecs + evecs) == span_rank(vecs) == span_rank(evecs)
+            expected = _expected_commuting(p, parity)
+            want = sum(len(maps) for maps in expected.values())
+            # the family spans the expected maps, degree by degree
+            good = fam.dim == want and all(
+                s in fam.spaces and fam.spaces[s].dim == len(maps)
+                and decompose(fam.spaces[s], maps).residual_dim == 0
+                for s, maps in expected.items()
+            )
             ok = ok and good
             details.append(
                 f"{alg} parity {parity}: family dim {fam.dim} "
-                f"(want {len(expected)}){'' if good else ' MISMATCH'}"
+                f"(want {want}){'' if good else ' MISMATCH'}"
             )
             # round-trip: each instance induces a (super-)biderivation
-            for i, (s, vec, f) in enumerate(fam.instances):
-                if p.is_super:
-                    phi = BilinearMap.from_rule(
-                        f.parity,
-                        lambda g1, g2, f=f: (
-                            None if f(g1) is None else p.bracket(f(g1), Vector.of(g2))
-                        ),
-                        degree=s,
-                    )
-                    rep = check_bilinear_class(p, phi, "super_biderivation", self.cfg.window)
-                else:
-                    phi = BilinearMap.from_rule(
-                        f.parity,
-                        lambda g1, g2, f=f: (
-                            None if f(g2) is None else p.bracket(Vector.of(g1), f(g2))
-                        ),
-                        degree=s,
-                    )
-                    rep = check_bilinear_class(p, phi, "biderivation", self.cfg.window)
+            cls = _biderivation_class(p)
+            for i, (_, _, f) in enumerate(fam.instances):
+                rep = check_bilinear_class(p, induced(p, f), cls, self.cfg.window)
                 ok = ok and rep.passed
                 if not rep.passed:
                     details.append(f"{alg} parity {parity} instance {i}: induced map fails")
@@ -455,7 +409,7 @@ class AcceptanceSuite:
             self.criterion_09_commuting()
         details = []
         ok = True
-        for alg, parity in (("w22q", 0), ("wittq", 0), ("wittsuperq", 0), ("wittsuperq", 1)):
+        for alg, parity in PAPER_MAPS:
             p, fam = self._families[(alg, parity)]
             if parity == 0:
                 rep = corollary_check(p, fam, "automorphism", self.cfg.window)

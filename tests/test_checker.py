@@ -23,9 +23,9 @@ from homlie.checker import (
     _collect,
     _wrap_map,
 )
-from homlie.classify import known_map
+from homlie.classify import commuting_map, induced, known_map
 from homlie.identities import OutOfWindow, bilinear_instances
-from homlie.maps import BilinearMap, LinearMap, scaled_bracket
+from homlie.maps import BilinearMap, LinearMap
 from homlie.qfield import QRational, qpow
 
 WIN = Window(-4, 4)
@@ -107,7 +107,9 @@ def test_identity_twist_on_geometric_bracket():
 def test_inner_maps_pass(name, cls, scale):
     p = builtin(name)
     coeff = Q1 if scale else (qpow(1) + QRational(2)) / QRational(3)
-    phi = scaled_bracket(p, coeff=coeff)
+    identity = commuting_map("identity", p)
+    scaled = LinearMap.from_rule(0, lambda g: coeff * identity(g), degree=0)
+    phi = induced(p, scaled)
     assert check_bilinear_class(p, phi, cls, Window(-3, 3)).passed
 
 
@@ -129,11 +131,12 @@ def test_phi_minus1_is_an_odd_super_biderivation(wittsuperq):
 
 
 def test_class_mode_mismatch(wittq, wittsuperq):
-    phi = scaled_bracket(wittq)
+    phi = induced(wittq, commuting_map("identity", wittq))
     with pytest.raises(ClassModeMismatch):
         check_bilinear_class(wittq, phi, "super_biderivation", WIN)
+    phi = induced(wittsuperq, commuting_map("identity", wittsuperq))
     with pytest.raises(ClassModeMismatch):
-        check_bilinear_class(wittsuperq, scaled_bracket(wittsuperq), "biderivation", WIN)
+        check_bilinear_class(wittsuperq, phi, "biderivation", WIN)
 
 
 # -- linear classes ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from homlie.algebra import Vector, Window
+from homlie.algebra import BUILTIN_NAMES, Vector, Window, builtin
 from homlie.checker import check_bilinear_class, check_linear_class
 from homlie.classify import (
     DependentKnowns,
@@ -9,7 +9,7 @@ from homlie.classify import (
     known_map,
     solve_commuting_maps,
 )
-from homlie.qfield import QRational
+from homlie.qfield import QRational, qbrace, qbracket
 from homlie.solver import SolutionSpace, stable_solve
 
 WIN = Window(-3, 3)
@@ -35,6 +35,45 @@ def test_known_maps_pass_their_classes(w22q, wittq, wittsuperq):
     assert check_bilinear_class(
         wittsuperq, known_map("phi_minus1", wittsuperq), "super_biderivation", WIN
     ).passed
+
+
+def _on_l_pairs(target, shift, coeff):
+    # (L_m, L_n) -> coeff(m, n) * target_{m+n+shift}; zero on every other pair
+    def value(p, g1, g2):
+        if g1.family == g2.family == "L":
+            m, n = g1.degree, g2.degree
+            return Vector.of(p.generator(target, m + n + shift), coeff(m, n))
+        return Vector({})
+    return value
+
+
+# the named maps' closed forms, written out rather than induced from the
+# commuting maps: (algebra, map) -> (parity, degree, value at a generator pair)
+NAMED_MAP_ORACLE = {
+    **{
+        (alg, "phi_ad"): (
+            0, None if alg == "example49" else 0,
+            lambda p, g1, g2: Vector(p.bracket_gens(g1, g2)),
+        )
+        for alg in BUILTIN_NAMES
+    },
+    ("w22q", "phi_0"): (0, 0, _on_l_pairs("W", 0, lambda m, n: qbracket(n - m))),
+    ("wittsuperq", "phi_minus1"): (
+        1, -1, _on_l_pairs("G", -1, lambda m, n: qbrace(n) - qbrace(m)),
+    ),
+}
+
+
+@pytest.mark.parametrize("alg,name", sorted(NAMED_MAP_ORACLE))
+def test_named_map_closed_form_oracle(alg, name):
+    p = builtin(alg)
+    parity, degree, value = NAMED_MAP_ORACLE[(alg, name)]
+    phi = known_map(name, p)
+    assert (phi.parity, phi.degree) == (parity, degree)
+    gens = p.gens_in(Window(-4, 4))
+    for g1 in gens:
+        for g2 in gens:
+            assert phi(g1, g2) == value(p, g1, g2), (g1, g2)
 
 
 def test_w22q_space_decomposes(w22q, w22q_space):
