@@ -1,13 +1,16 @@
-"""Time the exact solves of the four nonzero stable spaces.
+"""Time the four nonzero stable spaces and the scan's 104 vanishing windows.
 
 For each space (w22q and wittq biderivations at degree 0, wittsuperq even
 super-biderivations at degree 0 and odd ones at degree -1) it times
 `build_system` and `nullspace` on the window, then `stable_solve` with its
-enlarged window (delta 2), at the `reproduce-paper` window [-6,6].
-Everything runs serially in one process.  Each stage is timed three times
-and the median is kept.  The result, with the unknown and row counts, the
-dimensions and `stable_basis_sha256`, goes to BENCH_<label>.json next to
-this file:
+enlarged window (delta 2), at the `reproduce-paper` window [-6,6].  A second
+section times `stable_solve` on the 104 vanishing windows of the paper's
+scan (its 12 class/parity combinations at degrees -4..4, less the four
+spaces above) at the same window, and counts the spaces the mod-p
+certificate proved 0.  Everything runs serially in one process.  Each stage,
+and the second section as a whole, is timed three times and the median is
+kept.  The result, with the unknown and row counts, the dimensions and
+`stable_basis_sha256`, goes to BENCH_<label>.json next to this file:
 
     PYTHONPATH=src python benchmarks/bench.py --label NAME
 
@@ -41,6 +44,23 @@ SPACES = (
     ("wittsuperq", "super_biderivation", 0, 0),
     ("wittsuperq", "super_biderivation", 1, -1),
 )
+# the class/parity combinations of the paper's scan, (algebra, kind, class,
+# parity), each at DEGREES; the twisted derivations use k = 1
+SCAN = (
+    ("w22q", "bilinear", "biderivation", 0),
+    ("wittq", "bilinear", "biderivation", 0),
+    ("wittsuperq", "bilinear", "super_biderivation", 0),
+    ("wittsuperq", "bilinear", "super_biderivation", 1),
+    ("w22q", "bilinear", "alpha_biderivation", 0),
+    ("wittq", "bilinear", "alpha_biderivation", 0),
+    ("wittsuperq", "bilinear", "alpha_super_biderivation", 0),
+    ("wittsuperq", "bilinear", "alpha_super_biderivation", 1),
+    ("w22q", "linear", "alpha_k_derivation", 0),
+    ("wittq", "linear", "alpha_k_derivation", 0),
+    ("wittsuperq", "linear", "alpha_k_derivation", 0),
+    ("wittsuperq", "linear", "alpha_k_derivation", 1),
+)
+DEGREES = range(-4, 5)
 
 
 def _timed(fn):
@@ -87,6 +107,35 @@ def bench_space(alg, cls, parity, s):
     }
 
 
+def bench_vanishing():
+    """Total `stable_solve` seconds over the scan's vanishing windows, the
+    median of REPEAT runs, and how many of them the mod-p certificate
+    proved 0."""
+    jobs = [
+        (alg, kind, cls, parity, s)
+        for alg, kind, cls, parity in SCAN
+        for s in DEGREES
+        if (alg, cls, parity, s) not in SPACES
+    ]
+    totals = []
+    for _ in range(REPEAT):
+        certified = 0
+        t0 = time.perf_counter()
+        for alg, kind, cls, parity, s in jobs:
+            space = stable_solve(
+                builtin(alg), kind, cls, s=s, parity=parity, window=WINDOW, delta=DELTA
+            )
+            if space.dim:
+                raise AssertionError(f"{alg} {cls} parity {parity} s={s}: dim {space.dim}")
+            certified += space.witness is not None
+        totals.append(time.perf_counter() - t0)
+    return {
+        "windows": len(jobs),
+        "certified": certified,
+        "stable_solve_s": round(statistics.median(totals), 3),
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
@@ -96,6 +145,8 @@ def main(argv=None):
         row = bench_space(alg, cls, parity, s)
         print(json.dumps(row), flush=True)
         rows.append(row)
+    vanishing = bench_vanishing()
+    print(json.dumps(vanishing), flush=True)
     report = {
         "label": args.label,
         "window": [WINDOW.lo, WINDOW.hi],
@@ -106,6 +157,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "spaces": rows,
         "total_stable_solve_s": round(sum(r["stable_solve_s"] for r in rows), 3),
+        "vanishing": vanishing,
     }
     out = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -319,6 +319,9 @@ class AlgebraPresentation:
         self._coeff_cache = {}
         self._bracket_fast = {}
         self._alpha_fast = {}
+        # F_p images of the two tables above, one pair of dicts per
+        # (prime, point); `solver._mod_p_rules` fills them
+        self._mod_p = {}
         exprs = [t.coeff for terms in self.brackets.values() for t in terms]
         exprs += [r.coeff for r in self.alphas.values()]
         self.fast_scalars = all(ce.is_laurent_valued(e) for e in exprs)

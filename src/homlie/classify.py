@@ -167,14 +167,16 @@ class CommutingFamily:
         if isinstance(values, dict):
             values = [values.get(i, Q0) for i in range(len(self.instances))]
         values = [v if isinstance(v, QRational) else QRational(v) for v in values]
-        table = {g: Vector({}) for g in self.domain}
-        for (_, _, f), v in zip(self.instances, values):
-            if v.is_zero:
-                continue
-            for g in self.domain:
-                img = f(g)
-                if img is not None:
-                    table[g] = table[g] + v * img
+        maps = [f for _, _, f in self.instances]
+        coeffs = {i: v for i, v in enumerate(values[:len(maps)]) if not v.is_zero}
+
+        def image(i, g):
+            # member i's image of g as terms; a member undefined at g adds nothing
+            img = maps[i](g)
+            return () if img is None else img.items()
+
+        table = {g: Vector._raw(extend_linear(lambda i: image(i, g), coeffs))
+                 for g in self.domain}
         return LinearMap.from_table(self.parity, table)
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -535,7 +536,7 @@ def test_solution_space_carries_its_window_system(wittq):
 
 
 def _mod_p_nullity(p, ansatz):
-    return solver._mod_p_nullity(p, ansatz, solver.MOD_PRIME, solver.MOD_POINT)
+    return solver._streamed_nullity(p, ansatz, solver.MOD_PRIME, solver.MOD_POINT)
 
 
 @pytest.mark.parametrize("alg,cls,parity", BILINEAR_DIM_CASES + LINEAR_DIM_CASES)
@@ -548,6 +549,101 @@ def test_mod_p_nullity_equals_exact_nullity(alg, cls, parity, s):
     # q -> a in F_p can only lower the rank; at the chosen point it does not
     assert modular >= exact
     assert modular == exact
+
+
+def _stream_mod_p(p, ansatz):
+    return [row for *_, row in solver._rows(p, ansatz, solver.MOD_PRIME, solver.MOD_POINT)]
+
+
+def _count_rows(monkeypatch):
+    """Counts the rows `_rows` yields from now on."""
+    read = []
+    rows = solver._rows
+
+    def counted(*args, **kwargs):
+        for out in rows(*args, **kwargs):
+            read.append(1)
+            yield out
+
+    monkeypatch.setattr(solver, "_rows", counted)
+    return read
+
+
+@pytest.mark.parametrize("alg,cls,parity", BILINEAR_DIM_CASES + LINEAR_DIM_CASES)
+@DIM_DEGREES
+def test_streamed_pass_certifies_iff_the_full_stream_has_full_rank(monkeypatch, alg, cls,
+                                                                   parity, s):
+    p = builtin(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    stream = _stream_mod_p(p, a)
+    full = len(a) - len(solver._rank_mod_p(stream, solver.MOD_PRIME))
+    read = _count_rows(monkeypatch)
+    # the pass certifies (nullity 0) iff the full stream has full rank
+    assert _mod_p_nullity(p, a) == full
+    assert len(read) <= len(stream)
+    if full:
+        assert len(read) == len(stream)
+
+
+def test_vanishing_window_stops_before_the_end_of_its_stream(monkeypatch, w22q):
+    a = build_ansatz(w22q, "bilinear", "alpha_biderivation", s=0, window=SMALL)
+    total = len(_stream_mod_p(w22q, a))
+    read = _count_rows(monkeypatch)
+    assert _mod_p_nullity(w22q, a) == 0
+    assert len(read) < total // 2
+
+
+def test_mod_p_tables_are_made_once_per_presentation_and_point(monkeypatch):
+    p = parse(WZ)
+    a = build_ansatz(p, "bilinear", "biderivation", s=0, window=SMALL)
+    good = (solver.MOD_PRIME, solver.MOD_POINT)
+    first = solver._streamed_nullity(p, a, *good)
+    tables = p._mod_p[good]
+    snapshot = tuple(dict(t) for t in tables)
+    assert all(snapshot)
+    # a second pass reads the same tables and images no structure constant
+    calls = []
+    for name in ("bracket_gens", "alpha_gens"):
+        rule = getattr(p, name)
+        monkeypatch.setattr(p, name, lambda *g, rule=rule: calls.append(g) or rule(*g))
+    assert solver._streamed_nullity(p, a, *good) == first
+    assert p._mod_p[good] is tables
+    assert tuple(map(dict, tables)) == snapshot
+    assert calls == []
+    # another point gets tables of its own; q -> 14 = 0 mod 7 gets none
+    solver._streamed_nullity(p, a, 2, 1)
+    assert solver._streamed_nullity(p, a, 7, 14) is None
+    assert set(p._mod_p) == {good, (2, 1)}
+    assert p._mod_p[good] is tables and p._mod_p[2, 1] is not tables
+    assert {r for terms in p._mod_p[2, 1][0].values() for _, r in terms} <= {0, 1}
+
+
+def test_unlucky_point_leaves_the_good_point_intact():
+    # q + 5 vanishes at q = 2 mod 7, so no bracket of L(m), L(n), m != n,
+    # has an image there
+    p = parse(QPLUS5)
+    a = build_ansatz(p, "bilinear", "alpha_biderivation", s=0, window=SMALL)
+    assert solver._streamed_nullity(p, a, 7, 2) is None
+    assert _mod_p_nullity(p, a) == 0
+    for _ in range(2):
+        assert solver._streamed_nullity(p, a, 7, 2) is None
+    # only whole images are kept: the zero brackets [L(m), L(m)]
+    brackets, _ = p._mod_p[7, 2]
+    assert brackets and all(terms == () for terms in brackets.values())
+    space = stable_solve(p, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2)
+    assert (space.dim, space.witness) == (0, (solver.MOD_PRIME, solver.MOD_POINT, 0))
+
+
+@pytest.mark.parametrize("alg", ["w22q", "thirds"])
+def test_presentation_pickles_after_a_pass(alg):
+    p = _presentation(alg)
+    a = build_ansatz(p, "bilinear", "biderivation", s=0, window=SMALL)
+    nullity = _mod_p_nullity(p, a)
+    assert p._mod_p
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy._mod_p == p._mod_p
+    b = build_ansatz(copy, "bilinear", "biderivation", s=0, window=SMALL)
+    assert _mod_p_nullity(copy, b) == nullity
 
 
 def _image_mod_p(value, prime, point):
@@ -606,7 +702,7 @@ def test_mod_p_nullity_of_fractional_structure_constants():
         a = build_ansatz(p, _kind(cls), cls, s=s, window=SMALL)
         assert _mod_p_nullity(p, a) == nullspace(build_system(p, a)).dim
         # 3 divides a denominator: the point has no image, so no certificate
-        assert solver._mod_p_nullity(p, a, 3, 2) is None
+        assert solver._streamed_nullity(p, a, 3, 2) is None
     p = parse(QPLUS5)
     assert not p.fast_scalars
     dims = []
@@ -615,7 +711,7 @@ def test_mod_p_nullity_of_fractional_structure_constants():
         dims.append(nullspace(build_system(p, a)).dim)
         assert _mod_p_nullity(p, a) == dims[-1]
         # q + 5 vanishes at q = 2 mod 7, where the coefficients have no image
-        assert solver._mod_p_nullity(p, a, 7, 2) is None
+        assert solver._streamed_nullity(p, a, 7, 2) is None
     assert 0 in dims and any(dims)
 
 
@@ -678,7 +774,7 @@ def test_unlucky_point_falls_back_to_the_exact_path(monkeypatch, alg, cls, parit
     # q -> 1 mod 2 collapses the q-numbers; 14 is 0 mod 7, where q has no image
     p = builtin(alg)
     a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
-    assert solver._mod_p_nullity(p, a, prime, point) != 0
+    assert solver._streamed_nullity(p, a, prime, point) != 0
     monkeypatch.setattr(solver, "MOD_PRIME", prime)
     monkeypatch.setattr(solver, "MOD_POINT", point)
     space = stable_solve(p, "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2)
