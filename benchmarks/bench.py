@@ -7,9 +7,13 @@ enlarged window (delta 2), at the `reproduce-paper` window [-6,6].  A second
 section times `stable_solve` on the 104 vanishing windows of the paper's
 scan (its 12 class/parity combinations at degrees -4..4, less the four
 spaces above) at the same window, and counts the spaces the mod-p
-certificate proved 0.  Everything runs serially in one process.  Each stage,
-and the second section as a whole, is timed three times and the median is
-kept.  The result, with the unknown and row counts, the dimensions and
+certificate proved 0.  A third section times the checker at the same
+window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
+against its class, and `check_axioms` on each built-in.  Everything runs
+serially in one process.  Each stage, and the second section as a whole, is
+timed three times and the median is kept; each check of the third section
+is timed five times, and the median and quartiles are kept.  The result,
+with the unknown, row and instance counts, the dimensions and
 `stable_basis_sha256`, goes to BENCH_<label>.json next to this file:
 
     PYTHONPATH=src python benchmarks/bench.py --label NAME
@@ -32,12 +36,15 @@ import sys
 import time
 from pathlib import Path
 
-from homlie.algebra import Window, builtin
+from homlie.algebra import BUILTIN_NAMES, Window, builtin
+from homlie.checker import check_axioms, check_bilinear_class
+from homlie.classify import PAPER_MAPS, known_map
 from homlie.solver import build_ansatz, build_system, nullspace, stable_solve
 
 WINDOW = Window(-6, 6)
 DELTA = 2
 REPEAT = 3
+CHECK_REPEAT = 5
 SPACES = (
     ("w22q", "biderivation", 0, 0),
     ("wittq", "biderivation", 0, 0),
@@ -136,6 +143,42 @@ def bench_vanishing():
     }
 
 
+def _spread(seconds):
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3)}
+
+
+def bench_checker():
+    """The checker's seconds per check: each named map of PAPER_MAPS against
+    its class, then the axioms of each built-in, CHECK_REPEAT times each."""
+    checks = []
+    for (alg, parity), names in PAPER_MAPS.items():
+        p = builtin(alg)
+        cls = "super_biderivation" if p.is_super else "biderivation"
+        for name in names:
+            phi = known_map(name, p)
+            checks.append((
+                {"check": "check_bilinear_class", "algebra": alg, "map": name,
+                 "class": cls},
+                lambda p=p, phi=phi, cls=cls: check_bilinear_class(p, phi, cls, WINDOW),
+            ))
+    for alg in BUILTIN_NAMES:
+        checks.append((
+            {"check": "check_axioms", "algebra": alg},
+            lambda p=builtin(alg): check_axioms(p, WINDOW),
+        ))
+    rows = []
+    for row, run in checks:
+        seconds = []
+        for _ in range(CHECK_REPEAT):
+            report, t = _timed(run)
+            seconds.append(t)
+        if not report.passed:
+            raise AssertionError(f"{row}: {report}")
+        rows.append({**row, "instances": report.checked, **_spread(seconds)})
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
@@ -147,6 +190,9 @@ def main(argv=None):
         rows.append(row)
     vanishing = bench_vanishing()
     print(json.dumps(vanishing), flush=True)
+    checks = bench_checker()
+    for row in checks:
+        print(json.dumps(row), flush=True)
     report = {
         "label": args.label,
         "window": [WINDOW.lo, WINDOW.hi],
@@ -158,6 +204,8 @@ def main(argv=None):
         "spaces": rows,
         "total_stable_solve_s": round(sum(r["stable_solve_s"] for r in rows), 3),
         "vanishing": vanishing,
+        "check_repeat": CHECK_REPEAT,
+        "checks": checks,
     }
     out = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

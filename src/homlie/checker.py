@@ -2,7 +2,8 @@
 over a truncation window.
 
 Each check runs an instance stream of `identities`, which evaluates through
-the extension kernel of `algebra`; the map under test enters it as a
+the extension kernel of `algebra` and makes every map value, twist and
+generator bracket once per check; the map under test enters it as a
 memoized generator rule (`_wrap_map`), evaluated once per argument tuple.
 """
 

@@ -8,6 +8,13 @@ are term dicts generator -> Q(q) coefficient.  Brackets, twists and the map
 are all evaluated through `algebra.extend_bilinear` and `extend_linear`,
 which extend a rule on generators over term dicts.
 
+Each stream evaluates every map value, twist and generator bracket once per
+check and reuses it across instances.  The bilinear stream also makes each
+[alpha g, h], [h, alpha g], phi(g, alpha h) and phi(alpha g, h) of
+generators once, and each twisted bracket [phi(x, v), alpha w] once for the
+current x, which both of its identities read.  Values a stream yields may
+be shared with its memos, so they are read, never changed.
+
 An instance is skipped (OutOfWindow) when it would evaluate the unknown map
 outside the window.  In strict mode, used by the checker, an instance is
 also skipped when any intermediate or final value leaves the window, so a
@@ -55,15 +62,51 @@ def check_class_mode(p, cls):
         raise ClassModeMismatch(f"{cls} requires a lie presentation; use the super variant")
 
 
+class _Once(dict):
+    """Values made on first read, one per key, within one check: key ->
+    make(key), or None where make raises OutOfWindow."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        try:
+            v = self.make(key)
+        except OutOfWindow:
+            v = None
+        self[key] = v
+        return v
+
+    def need(self, key):
+        """The value at key; OutOfWindow where there is none."""
+        v = self[key]
+        if v is None:
+            raise OutOfWindow
+        return v
+
+    def first(self, g):
+        """The rule h -> the value at (g, h), as term dict items."""
+        return lambda h: self.need((g, h)).items()
+
+    def second(self, h):
+        """The rule g -> the value at (g, h), as term dict items."""
+        return lambda g: self.need((g, h)).items()
+
+
 class EvalContext:
-    """Evaluation helpers bound to one presentation, window and strictness."""
+    """Evaluation helpers bound to one presentation, window and strictness.
+
+    The memos it hands out refer to it, but it keeps none of them, so a
+    check leaves no reference cycle behind.
+    """
 
     def __init__(self, p, window, strict):
         self.p = p
         self.window = window
         self.strict = strict and not p.is_scalar and window is not None
 
-    def _guard(self, d):
+    def guard(self, d):
         if self.strict:
             w = self.window
             for g in d:
@@ -72,67 +115,94 @@ class EvalContext:
         return d
 
     def bracket(self, u, v):
-        return self._guard(extend_bilinear(self.p.bracket_gens, u, v))
+        return self.guard(extend_bilinear(self.p.bracket_gens, u, v))
 
     def alpha(self, u):
-        return self._guard(extend_linear(self.p.alpha_gens, u))
+        return self.guard(extend_linear(self.p.alpha_gens, u))
 
     def alpha_k(self, u, k):
         for _ in range(k):
             u = self.alpha(u)
         return u
 
-    def apply_bilinear(self, phi, u, v):
-        """Bilinear extension of phi over two concrete vectors."""
-        return self._guard(extend_bilinear(phi, u, v))
+    def generator_values(self):
+        """Memos of alpha(g) and of [g, h] by (g, h), on generators."""
+        return (
+            _Once(lambda g: self.alpha({g: Q1})),
+            _Once(lambda gh: self.bracket({gh[0]: Q1}, {gh[1]: Q1})),
+        )
 
-    def apply_linear(self, f, u):
-        return self._guard(extend_linear(f, u))
+    def map_values(self, fn):
+        """fn's values on argument tuples, each made once: the term dicts
+        that extend fn over other values, and the same dicts guarded, as
+        values in their own right."""
+        values = _Once(lambda args: dict(fn(*args)))
+        return values, _Once(lambda args: self.guard(values.need(args)))
 
 
 def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
     """Yield (equation id, inputs, lhs, rhs) for each interior instance.
 
-    phi(g1, g2) must return its value as (generator, coefficient) pairs,
-    such as a term dict's items(), and raise OutOfWindow when an argument is
-    not available.
+    phi(g1, g2) must return its value as the items of a term dict and raise
+    OutOfWindow when an argument is not available.
+
+    Each value is a sum over the terms of a value already made, every term
+    times an entry of a table by generators made once per check: phi(g, h),
+    [alpha g, h], [h, alpha g], phi(g, T z) and phi(T x, h), where T is
+    alpha or the identity.  The entries are parts of values, so only whole
+    values are guarded: parts may leave the window and cancel.  For each x,
+    [phi(x, v), alpha w] is made once per (v, w) and read by both
+    identities.
     """
     check_class_mode(p, cls)
     ctx = EvalContext(p, window, strict)
     twisted = cls in ("biderivation", "super_biderivation")
     gens = p.gens_in(window)
-    singles = {g: {g: Q1} for g in gens}
-    alphas = {}
-    for g in gens:
-        try:
-            alphas[g] = ctx.alpha(singles[g])
-        except OutOfWindow:
-            alphas[g] = None
+    twist, pair = ctx.generator_values()
+    values, shown = ctx.map_values(phi)
+    bracket_gens = p.bracket_gens
+    alpha_bracket = _Once(
+        lambda gh: extend_linear(lambda a: bracket_gens(a, gh[1]), twist.need(gh[0]))
+    )
+    bracket_alpha = _Once(
+        lambda gh: extend_linear(lambda a: bracket_gens(gh[1], a), twist.need(gh[0]))
+    )
+    if twisted:
+        phi_right = _Once(lambda gz: extend_linear(values.first(gz[0]), twist.need(gz[1])))
+        phi_left = _Once(lambda xh: extend_linear(values.second(xh[1]), twist.need(xh[0])))
+    else:
+        phi_right = phi_left = values
+    # for each g, h -> [alpha g, h] and h -> [h, alpha g]; for each z,
+    # g -> phi(g, T z)
+    alpha_bracket_of = {g: alpha_bracket.first(g) for g in gens}
+    bracket_alpha_of = {g: bracket_alpha.first(g) for g in gens}
+    phi_right_of = {z: phi_right.second(z) for z in gens}
+
+    def over(rule, u):
+        return ctx.guard(extend_linear(rule, u))
+
     for x in gens:
-        sx = singles[x]
-        ax = alphas[x]
+        ax = twist[x]
         neg_phix = phi_parity and x.parity
+        phi_left_x = phi_left.first(x)  # h -> phi(T x, h)
+        # [phi(x, v), alpha w] by (v, w), for this x only
+        twists = _Once(lambda vw, x=x: over(bracket_alpha_of[vw[1]], shown.need((x, vw[0]))))
         for y in gens:
-            sy = singles[y]
-            ay = alphas[y]
+            ay = twist[y]
             neg_phixy = ((phi_parity + x.parity) % 2) and y.parity
-            try:
-                bxy = ctx.bracket(sx, sy)
-            except OutOfWindow:
-                bxy = None
+            bxy = pair[x, y]
             eq1_ready = bxy is not None and ax is not None and ay is not None
             for z in gens:
-                sz = singles[z]
-                az = alphas[z]
+                az = twist[z]
                 # first identity: phi([x,y], T z) vs
                 #   (-1)^{|y||z|} [phi(x,z), a y] + (-1)^{|phi||x|} [a x, phi(y,z)]
                 if eq1_ready and (not twisted or az is not None):
                     try:
-                        lhs = ctx.apply_bilinear(phi, bxy, az if twisted else sz)
-                        t1 = ctx.bracket(ctx.apply_bilinear(phi, sx, sz), ay)
+                        lhs = over(phi_right_of[z], bxy)
+                        t1 = twists.need((z, y))
                         if y.parity and z.parity:
                             t1 = m_neg(t1)
-                        t2 = ctx.bracket(ax, ctx.apply_bilinear(phi, sy, sz))
+                        t2 = over(alpha_bracket_of[x], shown.need((y, z)))
                         if neg_phix:
                             t2 = m_neg(t2)
                         yield ("eq1", (x, y, z), lhs, m_add(t1, t2))
@@ -142,10 +212,9 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
                 #   [phi(x,y), a z] + (-1)^{(|phi|+|x|)|y|} [a y, phi(x,z)]
                 if ay is not None and az is not None and (not twisted or ax is not None):
                     try:
-                        byz = ctx.bracket(sy, sz)
-                        lhs = ctx.apply_bilinear(phi, ax if twisted else sx, byz)
-                        t1 = ctx.bracket(ctx.apply_bilinear(phi, sx, sy), az)
-                        t2 = ctx.bracket(ay, ctx.apply_bilinear(phi, sx, sz))
+                        lhs = over(phi_left_x, pair.need((y, z)))
+                        t1 = twists.need((y, z))
+                        t2 = over(alpha_bracket_of[y], shown.need((x, z)))
                         if neg_phixy:
                             t2 = m_neg(t2)
                         yield ("eq2", (x, y, z), lhs, m_add(t1, t2))
@@ -154,27 +223,35 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
 
 
 def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
-    """Yield identity instances for a linear map class over window pairs."""
+    """Yield identity instances for a linear map class over window pairs.
+
+    f(g) must return its value as the items of a term dict and raise
+    OutOfWindow when g is not available; each f(g) and each alpha^k(g) is
+    made once.
+    """
     check_class_mode(p, cls)
     if cls == "alpha_k_derivation" and k < 0:
         raise ValueError("twist power must be nonnegative")
     ctx = EvalContext(p, window, strict)
     gens = p.gens_in(window)
-    singles = {g: {g: Q1} for g in gens}
+    twist, pair = ctx.generator_values()
+    values, images = ctx.map_values(f)
+
+    def rule(g):
+        return values.need((g,)).items()
+
     if cls == "commuting_map":
         for x in gens:
-            sx = singles[x]
             try:
-                lhs = ctx.apply_linear(f, ctx.alpha(sx))
-                rhs = ctx.alpha(ctx.apply_linear(f, sx))
+                lhs = ctx.guard(extend_linear(rule, twist.need(x)))
+                rhs = ctx.alpha(images.need((x,)))
                 yield ("twist-commute", (x,), lhs, rhs)
             except OutOfWindow:
                 pass
             for y in gens:
-                sy = singles[y]
                 try:
-                    lhs = ctx.bracket(ctx.apply_linear(f, sx), sy)
-                    rhs = ctx.bracket(ctx.apply_linear(f, sy), sx)
+                    lhs = ctx.bracket(images.need((x,)), {y: Q1})
+                    rhs = ctx.bracket(images.need((y,)), {x: Q1})
                     if not (x.parity and y.parity):
                         rhs = m_neg(rhs)
                     yield ("commute", (x, y), lhs, rhs)
@@ -182,16 +259,14 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
                     pass
         return
     kk = 0 if cls in ("derivation", "super_derivation") else k
+    twists = _Once(lambda g: ctx.alpha_k({g: Q1}, kk))
     for x in gens:
-        sx = singles[x]
         negx = f_parity and x.parity
         for y in gens:
-            sy = singles[y]
             try:
-                bxy = ctx.bracket(sx, sy)
-                lhs = ctx.apply_linear(f, bxy)
-                t1 = ctx.bracket(ctx.apply_linear(f, sx), ctx.alpha_k(sy, kk))
-                t2 = ctx.bracket(ctx.alpha_k(sx, kk), ctx.apply_linear(f, sy))
+                lhs = ctx.guard(extend_linear(rule, pair.need((x, y))))
+                t1 = ctx.bracket(images.need((x,)), twists.need(y))
+                t2 = ctx.bracket(twists.need(x), images.need((y,)))
                 if negx:
                     t2 = m_neg(t2)
                 yield ("eq", (x, y), lhs, m_add(t1, t2))
@@ -200,34 +275,30 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
 
 
 def axiom_instances(p, window, strict=True):
-    """Skew/super-skew pairs and (super) twisted Jacobi triples."""
+    """Skew/super-skew pairs and (super) twisted Jacobi triples; each alpha(g)
+    and each [g, h] of window generators is made once."""
     ctx = EvalContext(p, window, strict)
+    twist, pair = ctx.generator_values()
     gens = p.gens_in(window)
-    singles = {g: {g: Q1} for g in gens}
     skew_name = "super-skew-symmetry" if p.is_super else "skew-symmetry"
     jac_name = "super-hom-jacobi" if p.is_super else "hom-jacobi"
     for x in gens:
         for y in gens:
             try:
-                lhs = ctx.bracket(singles[x], singles[y])
-                rhs = ctx.bracket(singles[y], singles[x])
+                lhs = pair.need((x, y))
+                rhs = pair.need((y, x))
                 if not (x.parity and y.parity):
                     rhs = m_neg(rhs)
                 yield (skew_name, (x, y), lhs, rhs)
             except OutOfWindow:
                 pass
     for x in gens:
-        sx = singles[x]
         for y in gens:
-            sy = singles[y]
             for z in gens:
-                sz = singles[z]
                 try:
                     acc = {}
                     for (a, b, c) in ((x, y, z), (z, x, y), (y, z, x)):
-                        term = ctx.bracket(
-                            ctx.alpha(singles[a]), ctx.bracket(singles[b], singles[c])
-                        )
+                        term = ctx.bracket(twist.need(a), pair.need((b, c)))
                         if a.parity and c.parity:
                             term = m_neg(term)
                         acc = m_add(acc, term)
@@ -237,11 +308,11 @@ def axiom_instances(p, window, strict=True):
                 if p.is_super:
                     # equivalent two-sided form of the twisted Jacobi identity
                     try:
-                        lhs = ctx.bracket(ctx.alpha(sx), ctx.bracket(sy, sz))
-                        t2 = ctx.bracket(ctx.alpha(sy), ctx.bracket(sx, sz))
+                        lhs = ctx.bracket(twist.need(x), pair.need((y, z)))
+                        t2 = ctx.bracket(twist.need(y), pair.need((x, z)))
                         if x.parity and y.parity:
                             t2 = m_neg(t2)
-                        rhs = m_add(ctx.bracket(ctx.bracket(sx, sy), ctx.alpha(sz)), t2)
+                        rhs = m_add(ctx.bracket(pair.need((x, y)), twist.need(z)), t2)
                         yield ("hom-jacobi-two-sided", (x, y, z), lhs, rhs)
                     except OutOfWindow:
                         pass
@@ -249,13 +320,13 @@ def axiom_instances(p, window, strict=True):
 
 def multiplicative_instances(p, window, strict=True):
     ctx = EvalContext(p, window, strict)
+    twist, pair = ctx.generator_values()
     gens = p.gens_in(window)
-    singles = {g: {g: Q1} for g in gens}
     for x in gens:
         for y in gens:
             try:
-                lhs = ctx.alpha(ctx.bracket(singles[x], singles[y]))
-                rhs = ctx.bracket(ctx.alpha(singles[x]), ctx.alpha(singles[y]))
+                lhs = ctx.alpha(pair.need((x, y)))
+                rhs = ctx.bracket(twist.need(x), twist.need(y))
                 yield ("multiplicative", (x, y), lhs, rhs)
             except OutOfWindow:
                 pass
@@ -265,12 +336,12 @@ def skew_instances(p, phi, window, strict=True):
     """Pairs testing phi(x,y) = -(-1)^{|x||y|} phi(y,x)."""
     ctx = EvalContext(p, window, strict)
     gens = p.gens_in(window)
-    singles = {g: {g: Q1} for g in gens}
+    _, shown = ctx.map_values(phi)
     for x in gens:
         for y in gens:
             try:
-                lhs = ctx.apply_bilinear(phi, singles[x], singles[y])
-                rhs = ctx.apply_bilinear(phi, singles[y], singles[x])
+                lhs = shown.need((x, y))
+                rhs = shown.need((y, x))
                 if not (x.parity and y.parity):
                     rhs = m_neg(rhs)
                 yield ("skew-symmetry", (x, y), lhs, rhs)

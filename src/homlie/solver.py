@@ -1211,21 +1211,30 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     without the exact window solve; the space then carries the rank witness.
     `_streamed_nullity` decides it in one pass over the F_p rows of `_rows`:
     it stops as soon as their rank reaches the number of unknowns, and it
-    reads F_p structure tables made once per presentation.  Scalar
-    presentations keep the exact path, which reports `raw_enlarged_dim` as
-    the window dimension.
+    reads F_p structure tables made once per presentation.  A nonzero
+    nullity bounds the exact window dimension from above, since rank can
+    only drop under q -> point, and the exact solve is checked against it.
+    Scalar presentations keep the exact path, which reports
+    `raw_enlarged_dim` as the window dimension.
     """
     if window is None:
         raise ValueError("a window is required")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     ansatz = build_ansatz(p, kind, cls, s=s, parity=parity, window=window, k=k)
+    bound = None
     if delta and not p.is_scalar:
         prime, point = MOD_PRIME, MOD_POINT
-        if _streamed_nullity(p, ansatz, prime, point) == 0:
+        bound = _streamed_nullity(p, ansatz, prime, point)
+        if bound == 0:
             return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))
     sys_small = build_system(p, ansatz)
     small = nullspace(sys_small)
+    if bound is not None and small.dim > bound:
+        raise AssertionError(
+            f"window nullity {small.dim} exceeds the mod-p nullity {bound}; "
+            "the F_p rows are inconsistent with the window system"
+        )
     if p.is_scalar or delta == 0:
         small.raw_window_dim = small.dim
         small.raw_enlarged_dim = small.dim

@@ -593,6 +593,22 @@ def test_vanishing_window_stops_before_the_end_of_its_stream(monkeypatch, w22q):
     assert len(read) < total // 2
 
 
+def test_window_solve_is_checked_against_the_mod_p_nullity(monkeypatch, w22q):
+    # the window space is 2-dimensional; a pass that reports one dimension
+    # fewer, as a stale F_p table could, is caught after the exact solve
+    nullity = solver._streamed_nullity
+    seen = []
+
+    def under_reported(*args):
+        seen.append(nullity(*args))
+        return seen[-1] - 1
+
+    monkeypatch.setattr(solver, "_streamed_nullity", under_reported)
+    with pytest.raises(AssertionError, match="exceeds the mod-p nullity 1"):
+        stable_solve(w22q, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
+    assert seen == [2]
+
+
 def test_mod_p_tables_are_made_once_per_presentation_and_point(monkeypatch):
     p = parse(WZ)
     a = build_ansatz(p, "bilinear", "biderivation", s=0, window=SMALL)
