@@ -4,7 +4,8 @@ over a truncation window.
 Each check runs an instance stream of `identities`, which evaluates through
 the extension kernel of `algebra` and makes every map value, twist and
 generator bracket once per check; the map under test enters it as a
-memoized generator rule (`_wrap_map`), evaluated once per argument tuple.
+generator rule (`_wrap_map`), which the stream's memo
+(`EvalContext.map_values`) calls once per argument tuple.
 """
 
 from __future__ import annotations
@@ -81,22 +82,19 @@ def check_multiplicative(p, window):
 
 
 def _wrap_map(fn, p, window):
-    """A linear or bilinear map as a generator rule of the instance streams,
-    evaluated at most once per argument tuple within one check.  OutOfWindow
-    is not cached, so it is raised again at every call."""
+    """A linear or bilinear map as a generator rule of the instance streams:
+    its value as term dict items, or OutOfWindow when an argument lies
+    outside the window or fn has no value there.  The streams make each
+    value once per check (`EvalContext.map_values`)."""
     scalar = p.is_scalar
-    memo = {}
 
     def call(*args):
-        terms = memo.get(args)
-        if terms is None:
-            if not scalar and not all(window.contains(g.degree) for g in args):
-                raise OutOfWindow
-            v = fn(*args)
-            if v is None:
-                raise OutOfWindow
-            terms = memo[args] = v.terms.items()
-        return terms
+        if not scalar and not all(window.contains(g.degree) for g in args):
+            raise OutOfWindow
+        v = fn(*args)
+        if v is None:
+            raise OutOfWindow
+        return v.terms.items()
 
     return call
 

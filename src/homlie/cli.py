@@ -417,7 +417,6 @@ def cmd_commuting_maps(args):
 def cmd_corollaries(args):
     p = _load_algebra(args.algebra)
     results = []
-    failed = False
     for parity in _parities(p, args.parity):
         fam = solve_commuting_maps(
             p, parity, args.window, delta=args.delta, degree_range=args.degree_range
@@ -444,7 +443,7 @@ def cmd_corollaries(args):
         "config": _config_dict(args, {"degree_range": list(args.degree_range)}),
         "results": results,
     }
-    return _emit(args, payload, failed)
+    return _emit(args, payload, False)
 
 
 def cmd_reproduce(args):

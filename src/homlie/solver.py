@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd as _igcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Generator, Vector, Window
@@ -447,12 +448,14 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
 # constant whose denominator vanishes at the point) leaves the decision to
 # the exact path, so an unlucky point costs time, never a wrong answer.
 #
-# `stable_solve` asks `_streamed_nullity`, which reduces the F_p rows of
-# `_rows` as they are generated and stops as soon as the rank reaches the
-# number of unknowns: most windows of the paper's scan vanish, and need a
-# small share of their rows for that.  A window that stays short of full rank
-# reads the whole stream.  The F_p structure tables it reads are made once
-# per presentation and (prime, point) (`_mod_p_rules`).
+# One loop, `_independent_mod_p`, computes both: it reduces F_p rows one by
+# one and stops as soon as their rank reaches the number of unknowns.
+# `stable_solve` asks `_streamed_nullity`, which feeds it the F_p rows of
+# `_rows` as they are generated: most windows of the paper's scan vanish,
+# and need a small share of their rows for that.  A window that stays short
+# of full rank reads the whole stream.  The F_p structure tables it reads
+# are made once per presentation and (prime, point) (`_mod_p_rules`).
+# `nullspace` feeds it the images of the system's rows, shortest first.
 
 MOD_PRIME = 2**31 - 1
 MOD_POINT = 123457
@@ -583,40 +586,21 @@ def _reduce_mod_p(row, pivots, zeros, prime):
         pivots[col] = {j: v * inv % prime for j, v in row.items()}
 
 
-def _rank_mod_p(rows, prime):
-    """Indices of a maximal set of rows independent over F_p, in the order
-    they were taken; its length is the rank.  The rows are consumed.
-
-    The singleton zero cascade runs first, as in `_eliminate`, and takes each
-    row that kills a column; the surviving rows are reduced one by one,
-    shortest first, by `_reduce_mod_p`, and each row that raises the rank is
-    taken.
+def _independent_mod_p(rows, ncols, prime):
+    """Positions, in the order given, of the F_p rows {col: residue} that
+    raise the rank when each is reduced in turn by `_reduce_mod_p`; their
+    number is the rank.  The rows are consumed.  Reading stops once the rank
+    reaches ncols, the number of columns: no later row can raise it.
     """
-    colrows = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            colrows.setdefault(j, []).append(i)
-    taken = []
-    queue = [i for i, r in enumerate(rows) if len(r) == 1]
-    while queue:
-        i = queue.pop()
-        r = rows[i]
-        if len(r) != 1:
-            continue
-        (col,) = r
-        taken.append(i)
-        for k in colrows.pop(col):
-            rk = rows[k]
-            del rk[col]
-            if len(rk) == 1:
-                queue.append(k)
     pivots = {}
     zeros = set()
-    for i in sorted((i for i, r in enumerate(rows) if r), key=lambda i: len(rows[i])):
-        rank = len(pivots) + len(zeros)
-        _reduce_mod_p(rows[i], pivots, zeros, prime)
-        if len(pivots) + len(zeros) > rank:
+    taken = []
+    for i, row in enumerate(rows):
+        _reduce_mod_p(row, pivots, zeros, prime)
+        if len(pivots) + len(zeros) > len(taken):
             taken.append(i)
+            if len(taken) == ncols:
+                break
     return taken
 
 
@@ -624,20 +608,16 @@ def _streamed_nullity(p, ansatz, prime, point):
     """Nullity of the window system's image under q -> point in F_prime, or
     None when a structure constant has no image there.
 
-    Each F_p row of `_rows` is reduced by `_reduce_mod_p` as it arrives, and
-    the pass returns 0 as soon as the rank reaches the number of unknowns.
+    The F_p rows of `_rows` go to `_independent_mod_p` as they are
+    generated, so the pass ends as soon as the rank reaches the number of
+    unknowns.
     """
     ncols = len(ansatz.slots)
-    pivots = {}
-    zeros = set()
     try:
-        for _, _, _, row in _rows(p, ansatz, prime, point):
-            _reduce_mod_p(row, pivots, zeros, prime)
-            if len(pivots) + len(zeros) == ncols:
-                return 0
+        stream = map(itemgetter(3), _rows(p, ansatz, prime, point))
+        return ncols - len(_independent_mod_p(stream, ncols, prime))
     except _Unlucky:
         return None
-    return ncols - len(pivots) - len(zeros)
 
 
 # -- integer Laurent rows --------------------------------------------------
@@ -998,9 +978,13 @@ def nullspace(sys):
     except _Unlucky:
         taken = None
     else:
-        taken = _rank_mod_p(images, MOD_PRIME)
+        # shortest rows first, for less fill-in and shorter rows to eliminate
+        order = sorted(range(len(images)), key=lambda i: len(images[i]))
+        taken = _independent_mod_p(
+            map(images.__getitem__, order), len(sys.ansatz.slots), MOD_PRIME
+        )
     if taken is not None and len(taken) < len(rows):
-        chosen = set(taken)
+        chosen = {order[k] for k in taken}
         space = _solve_rows(sys, [rows[i] for i in sorted(chosen)])
         vecs = space.id_vectors()
         rest = [row for i, row in enumerate(rows) if i not in chosen]

@@ -40,6 +40,19 @@ from . import rowrefs
 
 Q1 = QRational(1)
 
+# the twisted-output scans, (algebra, kind, class, parity), each over the
+# degree range with twist power 1; criterion 06 asks every one to vanish
+TWISTED_SCANS = (
+    ("w22q", "bilinear", "alpha_biderivation", 0),
+    ("wittq", "bilinear", "alpha_biderivation", 0),
+    ("wittsuperq", "bilinear", "alpha_super_biderivation", 0),
+    ("wittsuperq", "bilinear", "alpha_super_biderivation", 1),
+    ("w22q", "linear", "alpha_k_derivation", 0),
+    ("wittq", "linear", "alpha_k_derivation", 0),
+    ("wittsuperq", "linear", "alpha_k_derivation", 0),
+    ("wittsuperq", "linear", "alpha_k_derivation", 1),
+)
+
 # criterion 12 compares these bilinear classes, each at s in [-2, 2] on the
 # window [-2, 2], with the specialized oracle
 ORACLE_CLASSES = (
@@ -187,14 +200,8 @@ class AcceptanceSuite:
             p = builtin(alg)
             knowns_at = {s: tuple(maps) for s, maps in _expected_commuting(p, parity).items()}
             add(alg, "bilinear", _biderivation_class(p), parity, knowns_at)
-        add("w22q", "bilinear", "alpha_biderivation", 0)
-        add("wittq", "bilinear", "alpha_biderivation", 0)
-        add("wittsuperq", "bilinear", "alpha_super_biderivation", 0)
-        add("wittsuperq", "bilinear", "alpha_super_biderivation", 1)
-        add("w22q", "linear", "alpha_k_derivation", 0, k=1)
-        add("wittq", "linear", "alpha_k_derivation", 0, k=1)
-        add("wittsuperq", "linear", "alpha_k_derivation", 0, k=1)
-        add("wittsuperq", "linear", "alpha_k_derivation", 1, k=1)
+        for spec in TWISTED_SCANS:
+            add(*spec)
         return specs
 
     def scans(self):
@@ -291,16 +298,7 @@ class AcceptanceSuite:
     def criterion_06_alpha_vanishing(self):
         details = []
         ok = True
-        for alg, kind, cls, parity in (
-            ("w22q", "bilinear", "alpha_biderivation", 0),
-            ("wittq", "bilinear", "alpha_biderivation", 0),
-            ("wittsuperq", "bilinear", "alpha_super_biderivation", 0),
-            ("wittsuperq", "bilinear", "alpha_super_biderivation", 1),
-            ("w22q", "linear", "alpha_k_derivation", 0),
-            ("wittq", "linear", "alpha_k_derivation", 0),
-            ("wittsuperq", "linear", "alpha_k_derivation", 0),
-            ("wittsuperq", "linear", "alpha_k_derivation", 1),
-        ):
+        for alg, kind, cls, parity in TWISTED_SCANS:
             good, det = self._vanishing_scan(alg, kind, cls, parity)
             ok = ok and good
             details += det

@@ -310,7 +310,7 @@ def test_memo_keeps_the_report_of_a_wrong_map(w22q):
     assert rep.witnesses == want.witnesses
 
 
-def test_memo_does_not_cache_out_of_window(w22q):
+def test_wrap_map_raises_out_of_window_and_calls_the_rule_each_time(w22q):
     calls = Counter()
     g = w22q.generator("L", 0)
     phi = _counting_bilinear(BilinearMap.from_table(0, {}), calls)

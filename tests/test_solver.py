@@ -576,7 +576,10 @@ def test_streamed_pass_certifies_iff_the_full_stream_has_full_rank(monkeypatch, 
     p = builtin(alg)
     a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
     stream = _stream_mod_p(p, a)
-    full = len(a) - len(solver._rank_mod_p(stream, solver.MOD_PRIME))
+    # the reference reads every row, shortest first: one more column than
+    # there are unknowns keeps it from stopping early
+    shortest_first = sorted(stream, key=len)
+    full = len(a) - len(solver._independent_mod_p(shortest_first, len(a) + 1, solver.MOD_PRIME))
     read = _count_rows(monkeypatch)
     # the pass certifies (nullity 0) iff the full stream has full rank
     assert _mod_p_nullity(p, a) == full
@@ -854,6 +857,27 @@ def test_selected_rows_give_the_full_linear_nullspace(monkeypatch, alg, cls, par
     _assert_selected_rows_suffice(monkeypatch, p, a)
 
 
+def test_row_selection_stops_at_full_rank(monkeypatch, w22q):
+    a = build_ansatz(w22q, "bilinear", "alpha_biderivation", s=0, window=SMALL)
+    sys = build_system(w22q, a)
+    read = []
+    independent = solver._independent_mod_p
+
+    def counted(rows, ncols, prime):
+        def each():
+            for row in rows:
+                read.append(1)
+                yield row
+        return independent(each(), ncols, prime)
+
+    monkeypatch.setattr(solver, "_independent_mod_p", counted)
+    space = nullspace(sys)
+    # a vanishing space reaches full rank before its last row
+    assert len(read) < len(sys.rows)
+    assert space == _full_elimination(sys)
+    assert space.dim == 0
+
+
 @pytest.mark.parametrize("alg,cls,parity,s", [
     ("wittq", "biderivation", 0, 0),
     ("wittsuperq", "super_biderivation", 1, -1),
@@ -867,7 +891,7 @@ def test_nullspace_at_an_unlucky_point_runs_the_full_elimination(monkeypatch, al
     expected = _full_elimination(sys)
     rank = len(a) - expected.dim
     # q -> 1 mod 2 loses rank, so the selected rows leave too large a space
-    assert len(solver._rank_mod_p(solver._rows_mod_p(sys.rows, 2, 1), 2)) < rank
+    assert len(solver._independent_mod_p(solver._rows_mod_p(sys.rows, 2, 1), len(a), 2)) < rank
     monkeypatch.setattr(solver, "MOD_PRIME", 2)
     monkeypatch.setattr(solver, "MOD_POINT", 1)
     counts = _eliminated_row_counts(monkeypatch)
@@ -892,8 +916,9 @@ def test_exact_check_catches_a_dropped_row(monkeypatch, alg, cls, parity, s):
     a = build_ansatz(p, kind, cls, s=s, parity=parity, window=SMALL)
     sys = build_system(p, a)
     expected = _full_elimination(sys)
-    rank_mod_p = solver._rank_mod_p
-    monkeypatch.setattr(solver, "_rank_mod_p", lambda rows, prime: rank_mod_p(rows, prime)[1:])
+    independent = solver._independent_mod_p
+    monkeypatch.setattr(solver, "_independent_mod_p",
+                        lambda rows, ncols, prime: independent(rows, ncols, prime)[1:])
     counts = _eliminated_row_counts(monkeypatch)
     assert nullspace(sys) == expected
     assert counts == [len(a) - expected.dim - 1, len(sys.rows)]
