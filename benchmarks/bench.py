@@ -3,17 +3,18 @@
 For each space (w22q and wittq biderivations at degree 0, wittsuperq even
 super-biderivations at degree 0 and odd ones at degree -1) it times
 `build_system` and `nullspace` on the window, then `stable_solve` with its
-enlarged window (delta 2), at the `reproduce-paper` window [-6,6].  A second
-section times `stable_solve` on the 104 vanishing windows of the paper's
-scan (its 12 class/parity combinations at degrees -4..4, less the four
-spaces above) at the same window, and counts the spaces the mod-p
-certificate proved 0.  A third section times the checker at the same
+enlarged window (delta 2), at the `reproduce-paper` window [-6,6], and
+counts the raw rows the row generator writes for the window beside the
+unique rows `build_system` keeps.  A second section times `stable_solve`
+on the 104 vanishing windows of the paper's scan (its 12 class/parity
+combinations at degrees -4..4, less the four spaces above) at the same
+window, and counts the spaces the mod-p certificate proved 0.  A third section times the checker at the same
 window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
 against its class, and `check_axioms` on each built-in.  Everything runs
-serially in one process.  Each stage, and the second section as a whole, is
-timed three times and the median is kept; each check of the third section
-is timed five times, and the median and quartiles are kept.  The result,
-with the unknown, row and instance counts, the dimensions and
+serially in one process.  Each stage of the first section, the second
+section as a whole and each check of the third section are timed five
+times, and the median and quartiles are kept.  The result, with the
+unknown, row and instance counts, the dimensions and
 `stable_basis_sha256`, goes to BENCH_<label>.json next to this file:
 
     PYTHONPATH=src python benchmarks/bench.py --label NAME
@@ -39,12 +40,11 @@ from pathlib import Path
 from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.checker import check_axioms, check_bilinear_class
 from homlie.classify import PAPER_MAPS, known_map
-from homlie.solver import build_ansatz, build_system, nullspace, stable_solve
+from homlie.solver import _rows, build_ansatz, build_system, nullspace, stable_solve
 
 WINDOW = Window(-6, 6)
 DELTA = 2
-REPEAT = 3
-CHECK_REPEAT = 5
+REPEAT = 5
 SPACES = (
     ("w22q", "biderivation", 0, 0),
     ("wittq", "biderivation", 0, 0),
@@ -86,9 +86,14 @@ def basis_digest(space):
     return hashlib.sha256(json.dumps(vecs).encode()).hexdigest()
 
 
+def _spread(seconds):
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3)}
+
+
 def bench_space(alg, cls, parity, s):
     p = builtin(alg)
-    seconds = {"build_system_s": [], "nullspace_s": [], "stable_solve_s": []}
+    seconds = {"build_system": [], "nullspace": [], "stable_solve": []}
     for _ in range(REPEAT):
         ansatz = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=WINDOW)
         sys_, t_build = _timed(lambda: build_system(p, ansatz))
@@ -96,28 +101,29 @@ def bench_space(alg, cls, parity, s):
         stable, t_stable = _timed(lambda: stable_solve(
             p, "bilinear", cls, s=s, parity=parity, window=WINDOW, delta=DELTA
         ))
-        seconds["build_system_s"].append(t_build)
-        seconds["nullspace_s"].append(t_null)
-        seconds["stable_solve_s"].append(t_stable)
+        seconds["build_system"].append(t_build)
+        seconds["nullspace"].append(t_null)
+        seconds["stable_solve"].append(t_stable)
     return {
         "algebra": alg,
         "class": cls,
         "parity": parity,
         "s": s,
         "unknowns": len(ansatz),
+        "raw_rows": sum(1 for _ in _rows(p, ansatz)),
         "unique_rows": len(sys_.rows),
         "window_dim": space.dim,
         "stable_dim": stable.dim,
         "raw_enlarged_dim": stable.raw_enlarged_dim,
         "stable_basis_sha256": basis_digest(stable),
-        **{k: round(statistics.median(v), 3) for k, v in seconds.items()},
+        **{stage: _spread(v) for stage, v in seconds.items()},
     }
 
 
 def bench_vanishing():
     """Total `stable_solve` seconds over the scan's vanishing windows, the
-    median of REPEAT runs, and how many of them the mod-p certificate
-    proved 0."""
+    median and quartiles of REPEAT runs, and how many of them the mod-p
+    certificate proved 0."""
     jobs = [
         (alg, kind, cls, parity, s)
         for alg, kind, cls, parity in SCAN
@@ -139,18 +145,13 @@ def bench_vanishing():
     return {
         "windows": len(jobs),
         "certified": certified,
-        "stable_solve_s": round(statistics.median(totals), 3),
+        "stable_solve": _spread(totals),
     }
-
-
-def _spread(seconds):
-    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3)}
 
 
 def bench_checker():
     """The checker's seconds per check: each named map of PAPER_MAPS against
-    its class, then the axioms of each built-in, CHECK_REPEAT times each."""
+    its class, then the axioms of each built-in, REPEAT times each."""
     checks = []
     for (alg, parity), names in PAPER_MAPS.items():
         p = builtin(alg)
@@ -170,7 +171,7 @@ def bench_checker():
     rows = []
     for row, run in checks:
         seconds = []
-        for _ in range(CHECK_REPEAT):
+        for _ in range(REPEAT):
             report, t = _timed(run)
             seconds.append(t)
         if not report.passed:
@@ -202,9 +203,8 @@ def main(argv=None):
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "spaces": rows,
-        "total_stable_solve_s": round(sum(r["stable_solve_s"] for r in rows), 3),
+        "total_stable_solve_s": round(sum(r["stable_solve"]["median_s"] for r in rows), 3),
         "vanishing": vanishing,
-        "check_repeat": CHECK_REPEAT,
         "checks": checks,
     }
     out = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"

@@ -322,6 +322,11 @@ class AlgebraPresentation:
         # F_p images of the two tables above, one pair of dicts per
         # (prime, point); `solver._mod_p_rules` fills them
         self._mod_p = {}
+        # whether the bracket is (super-)skew on the pairs a row stream
+        # reads, by stream shape, and the generator pairs found skew so far;
+        # `solver._skew_on_stream` fills both
+        self._skew = {}
+        self._skew_pairs = set()
         exprs = [t.coeff for terms in self.brackets.values() for t in terms]
         exprs += [r.coeff for r in self.alphas.values()]
         self.fast_scalars = all(ce.is_laurent_valued(e) for e in exprs)
@@ -382,7 +387,7 @@ class AlgebraPresentation:
 
     # -- evaluation -------------------------------------------------------
 
-    def _coeff(self, expr, m, n):
+    def _coeff(self, expr, m, n, cache=True):
         key = (expr, m, n)
         v = self._coeff_cache.get(key)
         if v is None:
@@ -392,24 +397,28 @@ class AlgebraPresentation:
                 raise PresentationError(
                     f"coefficient {ce.render(expr)} divides by zero at (m, n) = ({m}, {n})"
                 ) from None
-            self._coeff_cache[key] = v
+            if cache:
+                self._coeff_cache[key] = v
         return v
 
-    def _terms_at(self, terms, m, n):
-        out = []
+    def _terms_at(self, terms, m, n, cache=True):
+        # one entry per target: rule terms aimed at one generator are summed
+        out = {}
         for term in terms:
-            c = self._coeff(term.coeff, m or 0, n or 0)
+            c = self._coeff(term.coeff, m or 0, n or 0, cache)
             if c.is_zero:
                 continue
             fam = self.families[term.target]
             deg = None if fam.degrees is None else m + n + term.shift
             if fam.degrees not in ("all", None) and deg not in fam.degrees:
                 continue  # finite index set: targets outside it are truncated away
-            out.append((Generator(term.target, deg, fam.parity), c))
-        return out
+            g = Generator(term.target, deg, fam.parity)
+            out[g] = out[g] + c if g in out else c
+        return [(g, c) for g, c in out.items() if not c.is_zero]
 
     def bracket_gens(self, g1, g2):
-        """Bracket of two basis generators as ((generator, coefficient), ...)."""
+        """Bracket of two basis generators as ((generator, coefficient), ...),
+        each generator once and each coefficient nonzero."""
         key = (g1, g2)
         cached = self._bracket_cache.get(key)
         if cached is not None:
@@ -431,6 +440,20 @@ class AlgebraPresentation:
                 out = ()
         self._bracket_cache[key] = out
         return out
+
+    def skew_at(self, g1, g2):
+        """Whether [g1, g2] = -(-1)^{|g1||g2|} [g2, g1].  A pair whose
+        bracket resolves through the mirror rule, or that is declared in
+        neither order, is skew by construction; any other is evaluated from
+        its two rules without filling the caches, so that testing pairs that
+        are never bracketed costs no memory."""
+        terms = self.brackets.get((g1.family, g2.family))
+        mirror = self.brackets.get((g2.family, g1.family))
+        if terms is None or mirror is None:
+            return True
+        uv = dict(self._terms_at(terms, g1.degree, g2.degree, cache=False))
+        vu = dict(self._terms_at(mirror, g2.degree, g1.degree, cache=False))
+        return uv == (vu if g1.parity and g2.parity else neg_terms(vu))
 
     def alpha_gens(self, g):
         cached = self._alpha_cache.get(g)

@@ -16,6 +16,17 @@ form, the reduced echelon form over slot order (`_canonical_basis`), so it
 depends only on the space: not on the row order, the pivots or the rows
 that were eliminated.
 
+Most identity instances have a mirror: the instance with two inputs
+swapped, whose rows are the instance's times a sign, so that the row freeze
+removes them.  For commute that holds by its form; for eq1 and the linear
+eq, swapping x and y, and for eq2, swapping y and z, it follows from
+super-skew symmetry, [u, v] = -(-1)^{|u||v|} [v, u], and from alpha
+preserving parity (see `_rows`).  A presentation need not be skew, so
+`_skew_on_stream` checks the bracket on every generator pair the stream
+reads, once per presentation and stream shape.  Where it holds, and always
+for commute, `_rows` writes one instance of each mirror pair, which about
+halves the raw rows that every solve generates, images in F_p and freezes.
+
 Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
 The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
 sparse elimination picks a maximal independent set of their images.  This
@@ -230,10 +241,61 @@ def single_instance_rows(p, ansatz, inputs):
     return {(eq_id, g): row for eq_id, _, g, row in _rows(p, ansatz, only=tuple(inputs))}
 
 
+def _skew_on_stream(p, ansatz, k):
+    """Whether [u, v] = -(-1)^{|u||v|} [v, u] on every generator pair that
+    `_rows` reads for the ansatz with twist power k: the window pairs, and
+    each slot target against each twisted window generator alpha^k(g).
+
+    Decided once per presentation and stream shape, in `p._skew`.  Only
+    the pairs of families declared in both orders (one family with itself
+    included) are tested, by `skew_at`, which evaluates them without
+    caching: an early-stopped mod-p pass reads only some of them.  Each
+    pair found skew is kept in `p._skew_pairs`, so that it is tested once
+    per presentation, not once per shape.
+    """
+    key = (ansatz.kind, ansatz.degree, ansatz.parity, ansatz.window, k)
+    skew = p._skew.get(key)
+    if skew is None:
+        both = {pair for pair in p.brackets if pair[::-1] in p.brackets}
+        known = p._skew_pairs
+        skew = True
+        for u, v in _stream_pairs(p, ansatz, k) if both else ():
+            if (u.family, v.family) in both and (u, v) not in known:
+                if not p.skew_at(u, v):
+                    skew = False
+                    break
+                known.add((u, v))
+        p._skew[key] = skew
+    return skew
+
+
+def _stream_pairs(p, ansatz, k):
+    """The generator pairs of `_skew_on_stream`; a window pair and its
+    swap are one pair, since either is skew when the other is."""
+    gens = p.gens_in(ansatz.window)
+    twisted = []
+    for g in gens:
+        for _ in range(k):
+            t = p.alpha_gens(g)
+            if not t:
+                break
+            g = t[0][0]
+        else:
+            twisted.append(g)
+    parity_of = p.parity_of
+    targets = [Generator(f, d, parity_of(f)) for f, d in {key[-2:] for key in ansatz.slots}]
+    for i, u in enumerate(gens):
+        for v in gens[i:]:
+            yield u, v
+    for u in targets:
+        for v in twisted:
+            yield u, v
+
+
 def _rows(p, ansatz, prime=None, point=None, only=None):
     """(eq id, inputs, target generator, {slot id: coefficient}) for each
     nonzero component of lhs - rhs of each identity instance of the ansatz's
-    class on its window.
+    class on its window that the stream keeps.
 
     The instances and signs are those of `identities.bilinear_instances` and
     `linear_instances`, which the test suite compares this stream against;
@@ -242,7 +304,36 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     tables: bare Laurent polynomials when `p.fast_scalars`, Q(q) elements
     otherwise, and, given a `prime`, their images under q -> `point` in
     F_prime (see `_mod_p_rules`), with each row entry reduced to a residue.
-    `only` restricts the stream to one input tuple.
+    `only` restricts the stream to one input tuple, and keeps every
+    instance on it.
+
+    Otherwise one instance of each mirror pair is kept: eq1 and eq for
+    x <= y, eq2 for y <= z and commute for x <= y, in `gens_in` order.  A
+    mirror's rows are the kept instance's times a sign, which the row
+    freeze removes:
+
+    - eq1(y, x, z) = -(-1)^{|x||y|} eq1(x, y, z)
+    - eq2(x, z, y) = -(-1)^{|y||z|} eq2(x, y, z)
+    - eq(y, x) = -(-1)^{|x||y|} eq(x, y)
+    - commute(y, x) = (-1)^{|x||y|} commute(x, y)
+
+    The last holds by the form of commute.  The others hold term by term
+    under super-skew symmetry, [u, v] = -(-1)^{|u||v|} [v, u], since alpha
+    preserves parity and |phi(u, v)| = |phi| + |u| + |v|.  For eq1:
+    phi([y, x], T z) = -(-1)^{|x||y|} phi([x, y], T z), and
+    -(-1)^{|x||z|} [phi(y, z), a x]
+      = (-1)^{|x||z| + (|phi|+|y|+|z|)|x|} [a x, phi(y, z)]
+      = -(-1)^{|x||y|} (-(-1)^{|phi||x|} [a x, phi(y, z)]),
+    which is the sign times the third term of eq1(x, y, z); the third term
+    of eq1(y, x, z) goes to the second alike, and eq2 and eq are the same
+    computation.  The in-window tests of [x, y] and [y, z] agree with their
+    mirrors' too.  These steps swap the window pairs and the pairs of a
+    slot target with a twisted window generator, and a presentation need
+    not be skew on them: a rule [L(m), L(n)] = m L(m+n), or [L, W] and
+    [W, L] declared with clashing signs, breaks it.  So eq1, eq2 and eq
+    skip their mirrors only when `_skew_on_stream` finds the bracket skew
+    on all of those pairs; commute needs no such guard, and twist-commute
+    has no mirror.
     """
     cls = ansatz.cls
     scalar = p.is_scalar
@@ -341,6 +432,9 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     k = {"alpha_k_derivation": ansatz.k, "derivation": 0, "super_derivation": 0}.get(cls, 1)
     twists = {g: twist_power(g, k) for g in gens}
     parity = ansatz.parity
+    mirrored = only is None
+    # keep one instance of each mirror pair of eq1, eq2 and eq (see above)
+    skew = mirrored and cls != "commuting_map" and _skew_on_stream(p, ansatz, k)
     if ansatz.kind == "bilinear":
         twisted = cls in ("biderivation", "super_biderivation")
         btab = {}
@@ -349,19 +443,21 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 bv = bracket(g1, g2)
                 btab[g1, g2] = (bv, in_window(bv))
         xs, ys, zs = axes
-        for x in xs:
+        for ix, x in enumerate(xs):
             ax = twists[x]
             neg_phix = parity and x.parity
-            for y in ys:
+            for iy, y in enumerate(ys):
                 ay = twists[y]
                 bxy, bxy_ok = btab[x, y]
                 neg_phixy = ((parity + x.parity) % 2) and y.parity
-                for z in zs:
+                eq1_on = not skew or ix <= iy
+                for iz in range(0 if eq1_on else iy, len(zs)):
+                    z = zs[iz]
                     az = twists[z]
                     # phi([x,y], T z) - (-1)^{|y||z|} [phi(x,z), a y]
                     #   - (-1)^{|phi||x|} [a x, phi(y,z)], T = a on the
                     # twisted classes; phi([x,y], 0) needs no window
-                    if bxy_ok or (twisted and az is None):
+                    if eq1_on and (bxy_ok or (twisted and az is None)):
                         acc = {}
                         if not twisted:
                             for u, cu in bxy:
@@ -378,6 +474,8 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                             xx, cax, ncax = ax
                             put_bracket(acc, (y, z), xx, cax if neg_phix else ncax, True)
                         yield from emit("eq1", (x, y, z), acc)
+                    if skew and iz < iy:
+                        continue
                     # phi(T x, [y,z]) - [phi(x,y), a z]
                     #   - (-1)^{(|phi|+|x|)|y|} [a y, phi(x,z)]
                     byz, byz_ok = btab[y, z]
@@ -400,7 +498,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
         return
     xs, ys = axes[:2]
     if cls == "commuting_map":
-        for x in xs:
+        for ix, x in enumerate(xs):
             # f(a x) - a(f(x))
             acc = {}
             if twists[x] is not None:
@@ -410,17 +508,17 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
                 for g, c in alpha(gen):
                     put(acc, g, j, -c)
             yield from emit("twist-commute", (x,), acc)
-            for y in ys:
+            for y in ys[ix:] if mirrored else ys:
                 # [f(x), y] + [f(y), x], with a minus sign when both are odd
                 acc = {}
                 put_bracket(acc, (x,), y, 1, False)
                 put_bracket(acc, (y,), x, -1 if (x.parity and y.parity) else 1, False)
                 yield from emit("commute", (x, y), acc)
         return
-    for x in xs:
+    for ix, x in enumerate(xs):
         ax = twists[x]
         negx = parity and x.parity
-        for y in ys:
+        for y in ys[ix:] if skew else ys:
             # f([x,y]) - [f(x), a^k y] - (-1)^{|f||x|} [a^k x, f(y)]
             bxy = bracket(x, y)
             if not in_window(bxy):

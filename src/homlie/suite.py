@@ -207,9 +207,12 @@ class AcceptanceSuite:
     def scans(self):
         if self._scans is None:
             specs = self._scan_specs()
-            tasks = [(key, *body) for key, body in specs]
+            # the tasks with named maps (t[10]), the nonzero spaces and the
+            # longest solves, first, so that none starts last on a worker
+            tasks = sorted(((key, *body) for key, body in specs), key=lambda t: not t[10])
             self.log(f"running {len(tasks)} stable scans (threads={self.threads})")
-            self._scans = _run_scan_tasks(tasks, self.threads)
+            results = _run_scan_tasks(tasks, self.threads)
+            self._scans = {key: results[key] for key, _ in specs}
         return self._scans
 
     def _scan(self, alg, kind, cls, parity, s):

@@ -18,6 +18,7 @@ from homlie.algebra import (
     Window,
     builtin,
 )
+from homlie.dsl import parse
 from homlie.qfield import QRational, qbracket, qbrace, qpow
 
 Q1 = QRational(1)
@@ -118,6 +119,24 @@ def test_w22q_skew_resolution(w22q):
 def test_wittsuperq_gg_bracket_vanishes(wittsuperq):
     out = wittsuperq.bracket(vec(wittsuperq, "G", 2), vec(wittsuperq, "G", 5))
     assert out.is_zero
+
+
+def test_bracket_sums_rule_terms_on_one_target():
+    # [L(m), L(n)] = (m - n)^2 L(m+n) + (m - n) L(m+n): one entry per
+    # target, and none where the two terms cancel
+    p = parse("""algebra split;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = ((m - n)*(m - n)) * L(m+n) + (m - n) * L(m+n);
+alpha L(m) = (1) * L(m);
+""")
+    l1, l2, l3 = (p.generator("L", d) for d in (1, 2, 3))
+    # [L(1), L(2)] = 0 but [L(2), L(1)] = 2 L(3); skew_at fills no cache
+    assert not p.skew_at(l1, l2) and not p.skew_at(l2, l1)
+    assert p.skew_at(l1, l1)
+    assert not p._bracket_cache and not p._coeff_cache
+    assert p.bracket_gens(l2, l1) == ((l3, QRational(2)),)
+    assert p.bracket_gens(l1, l2) == ()
 
 
 @pytest.mark.parametrize("m,n", [(2, 5), (0, 1), (-3, 4), (1, 1)])
@@ -223,6 +242,7 @@ def test_skew_or_super_skew_on_window_pairs(name):
             lhs = p.bracket(Vector.of(g1), Vector.of(g2))
             sign = -1 if (g1.parity * g2.parity) % 2 == 0 else 1
             assert lhs == sign * p.bracket(Vector.of(g2), Vector.of(g1))
+            assert p.skew_at(g1, g2)
 
 
 def test_alpha_preserves_degree_and_parity(wittsuperq):

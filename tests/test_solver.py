@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -343,7 +344,68 @@ bracket [L(m), L(n)] = (m - n) * L(m+n);
 alpha L(m) = (1) * L(m);
 """
 
-PRESENTATIONS = {"wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS, "finite": FINITE}
+# brackets that are not (super-)skew: a same-family rule, one split into two
+# terms on one target, [L, W] and [W, L] declared with clashing signs, an
+# antisymmetric bracket of odd generators, and (OUTER below) one that is skew
+# on the window pairs only
+LOPSIDED = """algebra lopsided;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (m) * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+# skew term (m - n) plus symmetric term (m - n)^2, which vanishes on the
+# diagonal: only their sum shows that the bracket is not skew
+SPLIT = """algebra split;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = ((m - n)*(m - n)) * L(m+n) + (m - n) * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+CLASHING = """algebra clashing;
+mode lie;
+family L parity 0 degrees int;
+family W parity 0 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) * L(m+n);
+bracket [L(m), W(n)] = (qnm(n) - qnm(m)) * W(m+n);
+bracket [W(m), L(n)] = (qnm(m) - qnm(n)) * W(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+alpha W(m) = (q^m) * W(m);
+"""
+
+ODDCLASH = """algebra oddclash;
+mode super;
+family L parity 0 degrees int;
+family G parity 1 degrees int;
+bracket [L(m), L(n)] = (qnm(n) - qnm(m)) * L(m+n);
+bracket [L(m), G(n)] = (qnm(n + 1) - qnm(m)) * G(m+n);
+bracket [G(m), G(n)] = (m - n) * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+alpha G(m) = (1 + q^(m + 1)) * G(m);
+"""
+
+# skew on the window pairs of SMALL only: the slot targets beyond it break it
+OUTER = """algebra outer;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (m - n + m*(m - 1)*(m + 1)*(m - 2)*(m + 2)) * L(m+n);
+alpha L(m) = (1 + q^m) * L(m);
+"""
+
+# [L, W] and [W, L] both declared, and skew
+TWOWAY = CLASHING.replace("clashing", "twoway").replace(
+    "[W(m), L(n)] = (qnm(m) - qnm(n))", "[W(m), L(n)] = (qnm(n) - qnm(m))"
+)
+
+NOT_SKEW = ("lopsided", "split", "clashing", "oddclash", "outer")
+
+PRESENTATIONS = {
+    "wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS, "finite": FINITE,
+    "lopsided": LOPSIDED, "split": SPLIT, "clashing": CLASHING, "oddclash": ODDCLASH, "outer": OUTER,
+    "twoway": TWOWAY,
+}
 
 
 def _presentation(name):
@@ -382,14 +444,47 @@ def _instance_residuals(p, a, vec):
     return out
 
 
-def _assert_rows_match_instance_residuals(p, a):
+def _mirror(eq_id, inputs):
+    """(i, sign) when swapping inputs i and i + 1 gives the mirror of the
+    instance, whose residual is the sign times the instance's: for eq1, eq2
+    and eq on a skew bracket and for commute on any; None for
+    twist-commute, which has no mirror."""
+    i = {"eq1": 0, "eq": 0, "commute": 0, "eq2": 1}.get(eq_id)
+    if i is None:
+        return None
+    odd = bool(inputs[i].parity and inputs[i + 1].parity)
+    return i, (-1 if odd else 1) if eq_id == "commute" else (1 if odd else -1)
+
+
+def _assert_rows_match_instance_residuals(p, a, skew=True):
+    """`_rows` against the checker, which evaluates every instance.  On the
+    map with random slot values, the rows' residuals are the checker's on
+    the instances the stream keeps, and each instance it skips, the one of
+    a mirror pair whose swapped inputs are out of `gens_in` order, has its
+    mirror's residual times the mirror sign.  skew=False is for a bracket
+    that is not skew: only commute instances have mirrors there."""
+    pos = {g: i for i, g in enumerate(p.gens_in(a.window))}
     rng = random.Random(20211)
     for _ in range(2):
         vec = {j: QRational(rng.randint(-5, 5)) for j in range(len(a))}
         vec = {j: v for j, v in vec.items() if not v.is_zero}
         expected = _instance_residuals(p, a, vec)
         assert expected
-        assert _generator_residuals(p, a, vec) == expected
+        kept = {}
+        mirrored = 0
+        for (eq_id, inputs, target), value in expected.items():
+            m = _mirror(eq_id, inputs) if skew or eq_id == "commute" else None
+            if m is not None:
+                i, sign = m
+                u, v = inputs[i:i + 2]
+                other = inputs[:i] + (v, u) + inputs[i + 2:]
+                assert expected.get((eq_id, other, target), Q0) == value * sign
+                mirrored += u != v
+                if pos[u] > pos[v]:
+                    continue
+            kept[eq_id, inputs, target] = value
+        assert _generator_residuals(p, a, vec) == kept
+        assert mirrored or not (skew or a.cls == "commuting_map")
 
 
 @pytest.mark.parametrize("alg,cls,parity,s", [
@@ -440,6 +535,70 @@ def test_twisted_derivation_rows_match_the_instance_residuals(alg, parity, s, k)
     a = build_ansatz(p, "linear", "alpha_k_derivation", s=s, parity=parity,
                      window=SMALL, k=k)
     _assert_rows_match_instance_residuals(p, a)
+
+
+def _classes(p):
+    """(cls, parity) of every class that p admits."""
+    return [
+        (cls, parity)
+        for cls in BILINEAR_CLASSES + LINEAR_CLASSES
+        if ("super" in cls) == p.is_super or cls in ("alpha_k_derivation", "commuting_map")
+        for parity in ((0, 1) if p.is_super else (0,))
+    ]
+
+
+def _instance_rows(p, a):
+    """{(eq id, inputs, target): row} of `single_instance_rows` over every
+    input tuple of the window, which keeps every instance."""
+    out = {}
+    for inputs in product(p.gens_in(a.window), repeat=3 if a.kind == "bilinear" else 2):
+        for (eq_id, target), row in solver.single_instance_rows(p, a, inputs).items():
+            out[eq_id, inputs[:1] if eq_id == "twist-commute" else inputs, target] = row
+    return out
+
+
+@pytest.mark.parametrize("alg", NOT_SKEW)
+def test_rows_keep_every_instance_on_a_bracket_that_is_not_skew(alg):
+    p = _presentation(alg)
+    for cls, parity in _classes(p):
+        # at s = 1 the slot targets of linear maps leave SMALL too, where
+        # OUTER is not skew
+        a = build_ansatz(p, _kind(cls), cls, s=1, parity=parity, window=SMALL)
+        _assert_rows_match_instance_residuals(p, a, skew=False)
+        rows = {(eq_id, inputs, target): row
+                for eq_id, inputs, target, row in solver._rows(p, a)}
+        full = _instance_rows(p, a)
+        if cls == "commuting_map":
+            # commute instances are skipped on every presentation
+            pos = {g: i for i, g in enumerate(p.gens_in(SMALL))}
+            full = {key: row for key, row in full.items()
+                    if key[0] != "commute" or pos[key[1][0]] <= pos[key[1][1]]}
+        assert rows == full
+
+
+def test_rows_skip_mirrors_of_a_skew_bracket_declared_both_ways():
+    p = _presentation("twoway")
+    for cls, parity in _classes(p):
+        a = build_ansatz(p, _kind(cls), cls, s=0, parity=parity, window=SMALL)
+        _assert_rows_match_instance_residuals(p, a)
+
+
+def _frozen(p, values):
+    entries = {j: v._t for j, v in values.items()} if p.fast_scalars else solver._introw_of(values)
+    return solver._freeze(entries)
+
+
+@pytest.mark.parametrize("alg", [*BUILTIN_NAMES, *PRESENTATIONS])
+def test_system_rows_are_the_rows_of_every_instance(alg):
+    # single_instance_rows keeps every instance, so skipping mirrors must
+    # leave the set of frozen rows as it is, skew bracket or not
+    p = _presentation(alg)
+    window = Window(-1, 3) if alg == "finite" else SMALL
+    for cls, parity in _classes(p):
+        for s in (0,) if p.is_scalar else (-1, 0):
+            a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
+            expected = {_frozen(p, values) for values in _instance_rows(p, a).values()}
+            assert set(build_system(p, a).rows) == expected
 
 
 # -- stable solving ----------------------------------------------------------------
