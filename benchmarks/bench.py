@@ -1,14 +1,16 @@
 """Time the four nonzero stable spaces and the scan's 104 vanishing windows.
 
-For each space (w22q and wittq biderivations at degree 0, wittsuperq even
-super-biderivations at degree 0 and odd ones at degree -1) it times
-`build_system` and `nullspace` on the window, then `stable_solve` with its
-enlarged window (delta 2), at the `reproduce-paper` window [-6,6], and
-counts the raw rows the row generator writes for the window beside the
-unique rows `build_system` keeps.  A second section times `stable_solve`
-on the 104 vanishing windows of the paper's scan (its 12 class/parity
-combinations at degrees -4..4, less the four spaces above) at the same
-window, and counts the spaces the mod-p certificate proved 0.  A third section times the checker at the same
+The spaces and windows are the stable solves `reproduce-paper` scans, read
+from `AcceptanceSuite._scan_specs`: the nonzero spaces are the solves that
+carry named maps (w22q and wittq biderivations at degree 0, wittsuperq
+even super-biderivations at degree 0 and odd ones at degree -1), and the
+vanishing windows are the others.  For each space it times `build_system`
+and `nullspace` on the window, then `stable_solve` with its enlarged window
+(delta 2), at the `reproduce-paper` window [-6,6], and counts the raw rows
+the row generator writes for the window beside the unique rows
+`build_system` keeps.  A second section times `stable_solve` on the
+vanishing windows at the same window, and counts the spaces the mod-p
+certificate proved 0.  A third section times the checker at the same
 window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
 against its class, and `check_axioms` on each built-in.  Everything runs
 serially in one process.  Each stage of the first section, the second
@@ -41,33 +43,21 @@ from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.checker import check_axioms, check_bilinear_class
 from homlie.classify import PAPER_MAPS, known_map
 from homlie.solver import _rows, build_ansatz, build_system, nullspace, stable_solve
+from homlie.suite import AcceptanceSuite, SuiteConfig
 
 WINDOW = Window(-6, 6)
 DELTA = 2
 REPEAT = 5
-SPACES = (
-    ("w22q", "biderivation", 0, 0),
-    ("wittq", "biderivation", 0, 0),
-    ("wittsuperq", "super_biderivation", 0, 0),
-    ("wittsuperq", "super_biderivation", 1, -1),
-)
-# the class/parity combinations of the paper's scan, (algebra, kind, class,
-# parity), each at DEGREES; the twisted derivations use k = 1
-SCAN = (
-    ("w22q", "bilinear", "biderivation", 0),
-    ("wittq", "bilinear", "biderivation", 0),
-    ("wittsuperq", "bilinear", "super_biderivation", 0),
-    ("wittsuperq", "bilinear", "super_biderivation", 1),
-    ("w22q", "bilinear", "alpha_biderivation", 0),
-    ("wittq", "bilinear", "alpha_biderivation", 0),
-    ("wittsuperq", "bilinear", "alpha_super_biderivation", 0),
-    ("wittsuperq", "bilinear", "alpha_super_biderivation", 1),
-    ("w22q", "linear", "alpha_k_derivation", 0),
-    ("wittq", "linear", "alpha_k_derivation", 0),
-    ("wittsuperq", "linear", "alpha_k_derivation", 0),
-    ("wittsuperq", "linear", "alpha_k_derivation", 1),
-)
-DEGREES = range(-4, 5)
+# the paper's scan as `reproduce-paper` runs it: ((algebra, kind, class,
+# parity, s), k, named maps or None) for each stable solve
+_SPECS = [
+    (key, body[3], body[9])
+    for key, body in AcceptanceSuite(SuiteConfig(window=WINDOW, delta=DELTA))._scan_specs()
+]
+# the nonzero spaces, the solves with named maps, as (algebra, class, parity, s)
+SPACES = tuple((alg, cls, parity, s) for (alg, _, cls, parity, s), _, named in _SPECS if named)
+# the vanishing windows, as (algebra, kind, class, parity, s, k)
+SCAN = tuple((*key, k) for key, k, named in _SPECS if not named)
 
 
 def _timed(fn):
@@ -87,7 +77,10 @@ def basis_digest(space):
 
 
 def _spread(seconds):
-    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    # one run has no spread: its quartiles are its time
+    q1, median, q3 = (
+        statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
+    )
     return {"median_s": round(median, 3), "q1_s": round(q1, 3), "q3_s": round(q3, 3)}
 
 
@@ -124,26 +117,20 @@ def bench_vanishing():
     """Total `stable_solve` seconds over the scan's vanishing windows, the
     median and quartiles of REPEAT runs, and how many of them the mod-p
     certificate proved 0."""
-    jobs = [
-        (alg, kind, cls, parity, s)
-        for alg, kind, cls, parity in SCAN
-        for s in DEGREES
-        if (alg, cls, parity, s) not in SPACES
-    ]
     totals = []
     for _ in range(REPEAT):
         certified = 0
         t0 = time.perf_counter()
-        for alg, kind, cls, parity, s in jobs:
+        for alg, kind, cls, parity, s, k in SCAN:
             space = stable_solve(
-                builtin(alg), kind, cls, s=s, parity=parity, window=WINDOW, delta=DELTA
+                builtin(alg), kind, cls, s=s, parity=parity, window=WINDOW, delta=DELTA, k=k
             )
             if space.dim:
                 raise AssertionError(f"{alg} {cls} parity {parity} s={s}: dim {space.dim}")
             certified += space.witness is not None
         totals.append(time.perf_counter() - t0)
     return {
-        "windows": len(jobs),
+        "windows": len(SCAN),
         "certified": certified,
         "stable_solve": _spread(totals),
     }

@@ -16,17 +16,10 @@ from importlib.resources import files
 from typing import NamedTuple, Optional, Union
 
 from . import coeffexpr as ce
-from .qfield import _P1, QRational
+from .qfield import QRational
 
 Q0 = QRational(0)
 Q1 = QRational(1)
-
-
-def _as_laurent(c):
-    # a value of a Laurent-valued rule holds the unit denominator
-    if c.den is not _P1:
-        raise ValueError("coefficient is not a Laurent polynomial")
-    return c.num
 
 
 # -- term dicts: generator -> nonzero coefficient in a field, so a product
@@ -316,17 +309,10 @@ class AlgebraPresentation:
         self._order = {f: i for i, f in enumerate(self.families)}
         self._bracket_cache = {}
         self._alpha_cache = {}
-        self._coeff_cache = {}
-        self._bracket_fast = {}
-        self._alpha_fast = {}
-        # F_p images of the two tables above, one pair of dicts per
-        # (prime, point); `solver._mod_p_rules` fills them
-        self._mod_p = {}
-        # whether the bracket is (super-)skew on the pairs a row stream
-        # reads, by stream shape, and the generator pairs found skew so far;
-        # `solver._skew_on_stream` fills both
-        self._skew = {}
-        self._skew_pairs = set()
+        # images of the two tables above in the ring a row stream computes
+        # in, one pair of dicts per ring: None for Z[q, 1/q], (prime, point)
+        # for F_prime; `solver._rules` fills them
+        self._tables = {}
         exprs = [t.coeff for terms in self.brackets.values() for t in terms]
         exprs += [r.coeff for r in self.alphas.values()]
         self.fast_scalars = all(ce.is_laurent_valued(e) for e in exprs)
@@ -387,25 +373,19 @@ class AlgebraPresentation:
 
     # -- evaluation -------------------------------------------------------
 
-    def _coeff(self, expr, m, n, cache=True):
-        key = (expr, m, n)
-        v = self._coeff_cache.get(key)
-        if v is None:
-            try:
-                v = ce.evaluate(expr, m, n)
-            except ZeroDivisionError:
-                raise PresentationError(
-                    f"coefficient {ce.render(expr)} divides by zero at (m, n) = ({m}, {n})"
-                ) from None
-            if cache:
-                self._coeff_cache[key] = v
-        return v
+    def _coeff(self, expr, m, n):
+        try:
+            return ce.evaluate(expr, m, n)
+        except ZeroDivisionError:
+            raise PresentationError(
+                f"coefficient {ce.render(expr)} divides by zero at (m, n) = ({m}, {n})"
+            ) from None
 
-    def _terms_at(self, terms, m, n, cache=True):
+    def _terms_at(self, terms, m, n):
         # one entry per target: rule terms aimed at one generator are summed
         out = {}
         for term in terms:
-            c = self._coeff(term.coeff, m or 0, n or 0, cache)
+            c = self._coeff(term.coeff, m or 0, n or 0)
             if c.is_zero:
                 continue
             fam = self.families[term.target]
@@ -445,14 +425,14 @@ class AlgebraPresentation:
         """Whether [g1, g2] = -(-1)^{|g1||g2|} [g2, g1].  A pair whose
         bracket resolves through the mirror rule, or that is declared in
         neither order, is skew by construction; any other is evaluated from
-        its two rules without filling the caches, so that testing pairs that
-        are never bracketed costs no memory."""
+        its two rules without filling the bracket memo, so that testing
+        pairs that are never bracketed costs no memory."""
         terms = self.brackets.get((g1.family, g2.family))
         mirror = self.brackets.get((g2.family, g1.family))
         if terms is None or mirror is None:
             return True
-        uv = dict(self._terms_at(terms, g1.degree, g2.degree, cache=False))
-        vu = dict(self._terms_at(mirror, g2.degree, g1.degree, cache=False))
+        uv = dict(self._terms_at(terms, g1.degree, g2.degree))
+        vu = dict(self._terms_at(mirror, g2.degree, g1.degree))
         return uv == (vu if g1.parity and g2.parity else neg_terms(vu))
 
     def alpha_gens(self, g):
@@ -470,22 +450,6 @@ class AlgebraPresentation:
             out = ((Generator(rule.target, g.degree, fam.parity), c),)
         self._alpha_cache[g] = out
         return out
-
-    def bracket_gens_fast(self, g1, g2):
-        """Like bracket_gens but with bare Laurent coefficients (fast mode)."""
-        key = (g1, g2)
-        cached = self._bracket_fast.get(key)
-        if cached is None:
-            cached = tuple((g, _as_laurent(c)) for g, c in self.bracket_gens(g1, g2))
-            self._bracket_fast[key] = cached
-        return cached
-
-    def alpha_gens_fast(self, g):
-        cached = self._alpha_fast.get(g)
-        if cached is None:
-            cached = tuple((gg, _as_laurent(c)) for gg, c in self.alpha_gens(g))
-            self._alpha_fast[g] = cached
-        return cached
 
     def bracket(self, x, y):
         """Bilinear extension of the bracket rules to vectors."""

@@ -241,7 +241,7 @@ def _poly_subs(poly, var, expr):
 def _canonical_poly(poly):
     items = sorted(poly.items())
     lead = items[0][1]
-    return tuple((m, str(c / lead)) for m, c in items)
+    return tuple((m, c / lead) for m, c in items)
 
 
 def _solve_constraints(constraints, depth=0):
@@ -310,8 +310,7 @@ def _solve_constraints(constraints, depth=0):
                 _poly_put(quotient, tuple(reduced), c)
             others = [q for q in work if q is not poly] + [quotient]
             for sol in _solve_constraints(others, depth + 1):
-                key = tuple(sorted((k, str(v)) for k, v in sol.items()))
-                if key not in {tuple(sorted((k, str(v)) for k, v in s.items())) for s in sols}:
+                if sol not in sols:
                     sols.append(sol)
             return sols
     raise NonQuadraticConstraint(

@@ -7,8 +7,9 @@ Q(q).  One generator, `_rows`, writes those rows for every class and
 presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
 A presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) gives rows of
 integer Laurent polynomials; any other, rational constants included, gives
-Q(q) rows whose denominators are cleared.  Each row is kept once, as a
-`Row`: a sorted tuple of integer Laurent entries that is its own dedup key.
+Q(q) rows whose denominators are cleared; `_rules` gives the constants in
+each ring, once per presentation.  Each row is kept once, as a `Row`: a
+sorted tuple of integer Laurent entries that is its own dedup key.
 The system is solved exactly: rows are reduced by fraction-free elimination
 with per-row content removal, and the nullspace basis is produced by
 back-substitution.  Every basis the solver returns is then brought to one
@@ -21,11 +22,12 @@ swapped, whose rows are the instance's times a sign, so that the row freeze
 removes them.  For commute that holds by its form; for eq1 and the linear
 eq, swapping x and y, and for eq2, swapping y and z, it follows from
 super-skew symmetry, [u, v] = -(-1)^{|u||v|} [v, u], and from alpha
-preserving parity (see `_rows`).  A presentation need not be skew, so
-`_skew_on_stream` checks the bracket on every generator pair the stream
-reads, once per presentation and stream shape.  Where it holds, and always
-for commute, `_rows` writes one instance of each mirror pair, which about
-halves the raw rows that every solve generates, images in F_p and freezes.
+preserving parity (see `_rows`).  Where the bracket is skew on the pairs
+an exact stream reads (`_skew_on_stream`), and always for commute, `_rows`
+writes one instance of each mirror pair, which about halves the raw rows
+that every solve generates and freezes.  An F_p stream skips mirrors
+unchecked: on a bracket that is not skew it reads a subset of the true
+rows, whose nullity still bounds the exact one, and 0 still proves it 0.
 
 Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
 The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
@@ -54,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import gcd as _igcd
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
@@ -241,55 +243,78 @@ def single_instance_rows(p, ansatz, inputs):
     return {(eq_id, g): row for eq_id, _, g, row in _rows(p, ansatz, only=tuple(inputs))}
 
 
-def _skew_on_stream(p, ansatz, k):
+def _skew_on_stream(p, ansatz, twisted):
     """Whether [u, v] = -(-1)^{|u||v|} [v, u] on every generator pair that
-    `_rows` reads for the ansatz with twist power k: the window pairs, and
-    each slot target against each twisted window generator alpha^k(g).
-
-    Decided once per presentation and stream shape, in `p._skew`.  Only
-    the pairs of families declared in both orders (one family with itself
-    included) are tested, by `skew_at`, which evaluates them without
-    caching: an early-stopped mod-p pass reads only some of them.  Each
-    pair found skew is kept in `p._skew_pairs`, so that it is tested once
-    per presentation, not once per shape.
-    """
-    key = (ansatz.kind, ansatz.degree, ansatz.parity, ansatz.window, k)
-    skew = p._skew.get(key)
-    if skew is None:
-        both = {pair for pair in p.brackets if pair[::-1] in p.brackets}
-        known = p._skew_pairs
-        skew = True
-        for u, v in _stream_pairs(p, ansatz, k) if both else ():
-            if (u.family, v.family) in both and (u, v) not in known:
-                if not p.skew_at(u, v):
-                    skew = False
-                    break
-                known.add((u, v))
-        p._skew[key] = skew
-    return skew
-
-
-def _stream_pairs(p, ansatz, k):
-    """The generator pairs of `_skew_on_stream`; a window pair and its
-    swap are one pair, since either is skew when the other is."""
+    an exact `_rows` stream of the ansatz reads: the window pairs (a pair
+    and its swap are skew together), and each slot target against each
+    twisted window generator alpha^k(g) in `twisted`.  Only pairs of
+    families declared in both orders are evaluated, by `skew_at`."""
+    both = {pair for pair in p.brackets if pair[::-1] in p.brackets}
+    if not both:
+        return True
     gens = p.gens_in(ansatz.window)
-    twisted = []
-    for g in gens:
-        for _ in range(k):
-            t = p.alpha_gens(g)
-            if not t:
-                break
-            g = t[0][0]
-        else:
-            twisted.append(g)
     parity_of = p.parity_of
     targets = [Generator(f, d, parity_of(f)) for f, d in {key[-2:] for key in ansatz.slots}]
-    for i, u in enumerate(gens):
-        for v in gens[i:]:
-            yield u, v
-    for u in targets:
-        for v in twisted:
-            yield u, v
+    pairs = chain(((u, v) for i, u in enumerate(gens) for v in gens[i:]),
+                  product(targets, twisted))
+    return all(p.skew_at(u, v) for u, v in pairs if (u.family, v.family) in both)
+
+
+def _rules(p, prime=None, point=None):
+    """(bracket, alpha): `p.bracket_gens` and `p.alpha_gens` with their
+    coefficients in the ring a row stream computes in.  Without a prime that
+    is Z[q, 1/q] when `p.fast_scalars`, where a coefficient is its Laurent
+    numerator, and Q(q) otherwise, where the two are returned as they are.
+    Given a prime it is F_prime, where num/den goes to image(num) *
+    image(den)^-1 under q -> point; terms that vanish mod p are kept, so
+    the in-window flags of `_rows` match the exact ones.
+
+    The converted entries are plain (generator, coefficient) tuples in
+    `p._tables[None]` or `p._tables[prime, point]`, so later streams reuse
+    them and p stays picklable.  An entry is stored only once all its
+    coefficients have images: a point with no image raises `_Unlucky` on
+    every call that needs it.
+    """
+    if prime is None:
+        if not p.fast_scalars:
+            return p.bracket_gens, p.alpha_gens
+        key = None
+
+        def image(c):
+            if c.den is not _P1:
+                raise ValueError("coefficient is not a Laurent polynomial")
+            return c.num
+    else:
+        key = (prime, point)
+        power = _powers_mod_p(prime, point)
+
+        def image(c):
+            num = _mod_p_value(c.num.items(), prime, power)
+            if c.den is _P1:
+                return num
+            den = _mod_p_value(c.den.items(), prime, power)
+            if not den:
+                raise _Unlucky(f"a denominator vanishes at q = {point} mod {prime}")
+            return num * pow(den, -1, prime) % prime
+
+    tables = p._tables.get(key)
+    if tables is None:
+        tables = p._tables[key] = ({}, {})
+    brackets, alphas = tables
+
+    def bracket(g1, g2):
+        out = brackets.get((g1, g2))
+        if out is None:
+            out = brackets[g1, g2] = tuple((g, image(c)) for g, c in p.bracket_gens(g1, g2))
+        return out
+
+    def alpha(g):
+        out = alphas.get(g)
+        if out is None:
+            out = alphas[g] = tuple((gg, image(c)) for gg, c in p.alpha_gens(g))
+        return out
+
+    return bracket, alpha
 
 
 def _rows(p, ansatz, prime=None, point=None, only=None):
@@ -300,12 +325,11 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     The instances and signs are those of `identities.bilinear_instances` and
     `linear_instances`, which the test suite compares this stream against;
     an instance is skipped when it would evaluate the unknown map outside
-    the window.  Coefficients come from the presentation's structure-constant
-    tables: bare Laurent polynomials when `p.fast_scalars`, Q(q) elements
+    the window.  Coefficients come from the structure-constant tables of
+    `_rules`: bare Laurent polynomials when `p.fast_scalars`, Q(q) elements
     otherwise, and, given a `prime`, their images under q -> `point` in
-    F_prime (see `_mod_p_rules`), with each row entry reduced to a residue.
-    `only` restricts the stream to one input tuple, and keeps every
-    instance on it.
+    F_prime, with each row entry reduced to a residue.  `only` restricts
+    the stream to one input tuple, and keeps every instance on it.
 
     Otherwise one instance of each mirror pair is kept: eq1 and eq for
     x <= y, eq2 for y <= z and commute for x <= y, in `gens_in` order.  A
@@ -330,10 +354,12 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     mirrors' too.  These steps swap the window pairs and the pairs of a
     slot target with a twisted window generator, and a presentation need
     not be skew on them: a rule [L(m), L(n)] = m L(m+n), or [L, W] and
-    [W, L] declared with clashing signs, breaks it.  So eq1, eq2 and eq
-    skip their mirrors only when `_skew_on_stream` finds the bracket skew
-    on all of those pairs; commute needs no such guard, and twist-commute
-    has no mirror.
+    [W, L] declared with clashing signs, breaks it.  So on an exact stream
+    eq1, eq2 and eq skip their mirrors only when `_skew_on_stream` finds
+    the bracket skew on all of those pairs; commute needs no such guard,
+    and twist-commute has no mirror.  An F_p stream skips them unguarded:
+    a subset of the true rows has no more rank, and its one reader,
+    `_streamed_nullity`, needs only an upper bound on the nullity.
     """
     cls = ansatz.cls
     scalar = p.is_scalar
@@ -342,12 +368,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     degree = ansatz.degree
     contains = ansatz.window.contains
     fam_parity = {f.name: f.parity for f in p.families.values()}
-    if prime is not None:
-        bracket, alpha = _mod_p_rules(p, prime, point)
-    elif p.fast_scalars:
-        bracket, alpha = p.bracket_gens_fast, p.alpha_gens_fast
-    else:
-        bracket, alpha = p.bracket_gens, p.alpha_gens
+    bracket, alpha = _rules(p, prime, point)
     if only is None:
         gens = p.gens_in(ansatz.window)
         axes = (gens, gens, gens)
@@ -434,7 +455,10 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     parity = ansatz.parity
     mirrored = only is None
     # keep one instance of each mirror pair of eq1, eq2 and eq (see above)
-    skew = mirrored and cls != "commuting_map" and _skew_on_stream(p, ansatz, k)
+    skew = mirrored and cls != "commuting_map" and (
+        prime is not None
+        or _skew_on_stream(p, ansatz, [t[0] for t in twists.values() if t is not None])
+    )
     if ansatz.kind == "bilinear":
         twisted = cls in ("biderivation", "super_biderivation")
         btab = {}
@@ -551,9 +575,10 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
 # `stable_solve` asks `_streamed_nullity`, which feeds it the F_p rows of
 # `_rows` as they are generated: most windows of the paper's scan vanish,
 # and need a small share of their rows for that.  A window that stays short
-# of full rank reads the whole stream.  The F_p structure tables it reads
-# are made once per presentation and (prime, point) (`_mod_p_rules`).
-# `nullspace` feeds it the images of the system's rows, shortest first.
+# of full rank reads the whole stream, which skips mirrors unguarded (see
+# `_rows`), over F_p tables that `_rules` makes once per presentation and
+# point.  `nullspace` feeds it the images of the system's rows, shortest
+# first.
 
 MOD_PRIME = 2**31 - 1
 MOD_POINT = 123457
@@ -581,47 +606,6 @@ def _powers_mod_p(prime, point):
 def _mod_p_value(terms, prime, power):
     """Image in F_prime of the Laurent polynomial with these (exp, coeff) terms."""
     return sum(c * power(e) for e, c in terms) % prime
-
-
-def _mod_p_rules(p, prime, point):
-    """`bracket_gens` and `alpha_gens` of p with F_p coefficients.
-
-    A coefficient num/den goes to image(num) * image(den)^-1.  Terms whose
-    coefficient vanishes mod p are kept, so the in-window flags of `_rows`
-    match the exact ones term for term.  The images are kept in plain dicts
-    of (generator, residue) tuples in `p._mod_p[prime, point]`, so later
-    passes over p reuse them and p stays picklable.  An entry is stored only
-    once all its coefficients have images: a point with no image raises
-    `_Unlucky` on every call that needs it.
-    """
-    power = _powers_mod_p(prime, point)
-    tables = p._mod_p.get((prime, point))
-    if tables is None:
-        tables = p._mod_p[prime, point] = ({}, {})
-    brackets, alphas = tables
-
-    def image(c):
-        num = _mod_p_value(c.num.items(), prime, power)
-        if c.den is _P1:
-            return num
-        den = _mod_p_value(c.den.items(), prime, power)
-        if not den:
-            raise _Unlucky(f"a denominator vanishes at q = {point} mod {prime}")
-        return num * pow(den, -1, prime) % prime
-
-    def bracket(g1, g2):
-        out = brackets.get((g1, g2))
-        if out is None:
-            out = brackets[g1, g2] = tuple((g, image(c)) for g, c in p.bracket_gens(g1, g2))
-        return out
-
-    def alpha(g):
-        out = alphas.get(g)
-        if out is None:
-            out = alphas[g] = tuple((gg, image(c)) for gg, c in p.alpha_gens(g))
-        return out
-
-    return bracket, alpha
 
 
 def _rows_mod_p(rows, prime, point):
@@ -703,12 +687,15 @@ def _independent_mod_p(rows, ncols, prime):
 
 
 def _streamed_nullity(p, ansatz, prime, point):
-    """Nullity of the window system's image under q -> point in F_prime, or
-    None when a structure constant has no image there.
+    """An upper bound on the nullity of the window system's image under
+    q -> point in F_prime, or None when a structure constant has no image
+    there.
 
     The F_p rows of `_rows` go to `_independent_mod_p` as they are
     generated, so the pass ends as soon as the rank reaches the number of
-    unknowns.
+    unknowns.  On a presentation that is not skew they are a subset of the
+    image's rows, so the bound can exceed its nullity; 0 still certifies
+    that the exact nullity is 0.
     """
     ncols = len(ansatz.slots)
     try:

@@ -5,6 +5,7 @@ from importlib.resources import files
 import pytest
 
 from homlie import coeffexpr as ce
+from homlie import solver
 from homlie.algebra import (
     BUILTIN_NAMES,
     AlgebraPresentation,
@@ -134,7 +135,7 @@ alpha L(m) = (1) * L(m);
     # [L(1), L(2)] = 0 but [L(2), L(1)] = 2 L(3); skew_at fills no cache
     assert not p.skew_at(l1, l2) and not p.skew_at(l2, l1)
     assert p.skew_at(l1, l1)
-    assert not p._bracket_cache and not p._coeff_cache
+    assert not p._bracket_cache
     assert p.bracket_gens(l2, l1) == ((l3, QRational(2)),)
     assert p.bracket_gens(l1, l2) == ()
 
@@ -182,10 +183,11 @@ def test_integer_tables_only_for_laurent_rules(name):
     p = builtin(name)
     assert p.fast_scalars == (name != "example49")
     if p.fast_scalars:
+        bracket, alpha = solver._rules(p)
         gens = p.gens_in(Window(-2, 2))
         for g1 in gens:
             for g2 in gens:
-                for _, c in p.bracket_gens_fast(g1, g2) + p.alpha_gens_fast(g1):
+                for _, c in bracket(g1, g2) + alpha(g1):
                     assert all(type(v) is int for _, v in c.items())
 
 

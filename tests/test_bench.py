@@ -1,0 +1,37 @@
+"""Smoke test of benchmarks/bench.py: its sections run against the current
+API on a small window, one run each."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from homlie.algebra import Window
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "WINDOW", Window(-1, 1))
+    monkeypatch.setattr(module, "REPEAT", 1)
+    return module
+
+
+def test_bench_times_the_spaces_that_reproduce_paper_scans(bench):
+    assert len(bench.SPACES) == 4 and len(bench.SCAN) == 104
+    assert ("wittq", "biderivation", 0, 0) in bench.SPACES
+    row = bench.bench_space("wittq", "biderivation", 0, 0)
+    assert row["stable_dim"] == 1
+    assert 0 < row["unique_rows"] <= row["raw_rows"]
+    spread = row["stable_solve"]
+    assert spread["q1_s"] == spread["median_s"] == spread["q3_s"]
+
+
+def test_bench_checks_every_named_map_and_builtin(bench):
+    rows = bench.bench_checker()
+    assert {row["check"] for row in rows} == {"check_bilinear_class", "check_axioms"}
+    assert all(row["instances"] > 0 for row in rows)

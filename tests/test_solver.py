@@ -608,8 +608,8 @@ def _two_window_stable_basis(p, cls, s, parity, window, delta):
     """The stable filter done in full: solve both windows, restrict the
     enlarged solutions, check each restriction against every window row,
     and reduce.  Returns the restrictions and the canonical basis."""
-    small = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
-    big = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window.widen(delta))
+    small = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
+    big = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window.widen(delta))
     rows = build_system(p, small).rows
     restricted = [
         {small.index[k]: v for k, v in vec.items()}
@@ -776,7 +776,7 @@ def test_mod_p_tables_are_made_once_per_presentation_and_point(monkeypatch):
     a = build_ansatz(p, "bilinear", "biderivation", s=0, window=SMALL)
     good = (solver.MOD_PRIME, solver.MOD_POINT)
     first = solver._streamed_nullity(p, a, *good)
-    tables = p._mod_p[good]
+    tables = p._tables[good]
     snapshot = tuple(dict(t) for t in tables)
     assert all(snapshot)
     # a second pass reads the same tables and images no structure constant
@@ -785,15 +785,15 @@ def test_mod_p_tables_are_made_once_per_presentation_and_point(monkeypatch):
         rule = getattr(p, name)
         monkeypatch.setattr(p, name, lambda *g, rule=rule: calls.append(g) or rule(*g))
     assert solver._streamed_nullity(p, a, *good) == first
-    assert p._mod_p[good] is tables
+    assert p._tables[good] is tables
     assert tuple(map(dict, tables)) == snapshot
     assert calls == []
     # another point gets tables of its own; q -> 14 = 0 mod 7 gets none
     solver._streamed_nullity(p, a, 2, 1)
     assert solver._streamed_nullity(p, a, 7, 14) is None
-    assert set(p._mod_p) == {good, (2, 1)}
-    assert p._mod_p[good] is tables and p._mod_p[2, 1] is not tables
-    assert {r for terms in p._mod_p[2, 1][0].values() for _, r in terms} <= {0, 1}
+    assert set(p._tables) == {good, (2, 1)}
+    assert p._tables[good] is tables and p._tables[2, 1] is not tables
+    assert {r for terms in p._tables[2, 1][0].values() for _, r in terms} <= {0, 1}
 
 
 def test_unlucky_point_leaves_the_good_point_intact():
@@ -806,7 +806,7 @@ def test_unlucky_point_leaves_the_good_point_intact():
     for _ in range(2):
         assert solver._streamed_nullity(p, a, 7, 2) is None
     # only whole images are kept: the zero brackets [L(m), L(m)]
-    brackets, _ = p._mod_p[7, 2]
+    brackets, _ = p._tables[7, 2]
     assert brackets and all(terms == () for terms in brackets.values())
     space = stable_solve(p, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2)
     assert (space.dim, space.witness) == (0, (solver.MOD_PRIME, solver.MOD_POINT, 0))
@@ -817,11 +817,27 @@ def test_presentation_pickles_after_a_pass(alg):
     p = _presentation(alg)
     a = build_ansatz(p, "bilinear", "biderivation", s=0, window=SMALL)
     nullity = _mod_p_nullity(p, a)
-    assert p._mod_p
+    assert p._tables
     copy = pickle.loads(pickle.dumps(p))
-    assert copy._mod_p == p._mod_p
+    assert copy._tables == p._tables
     b = build_ansatz(copy, "bilinear", "biderivation", s=0, window=SMALL)
     assert _mod_p_nullity(copy, b) == nullity
+
+
+@pytest.mark.parametrize("alg", NOT_SKEW)
+@pytest.mark.parametrize("s", [-1, 0, 1])
+def test_unguarded_mod_p_pass_is_sound_on_a_bracket_that_is_not_skew(alg, s):
+    # the F_p stream skips mirrors without the skew guard, so on these
+    # brackets it reads a subset of the true rows: its nullity can only
+    # exceed the exact one, and stable_solve still gives the full filter's
+    # space
+    p = _presentation(alg)
+    for cls, parity in _classes(p):
+        a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+        assert _mod_p_nullity(p, a) >= nullspace(build_system(p, a)).dim
+        _, basis = _two_window_stable_basis(p, cls, s, parity, SMALL, 2)
+        space = stable_solve(p, _kind(cls), cls, s=s, parity=parity, window=SMALL, delta=2)
+        assert space.basis == basis
 
 
 def _image_mod_p(value, prime, point):
