@@ -8,8 +8,10 @@ presentation, with the structure constants in Z[q, 1/q], in Q(q) or in F_p.
 A presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) gives rows of
 integer Laurent polynomials; any other, rational constants included, gives
 Q(q) rows whose denominators are cleared; `_rules` gives the constants in
-each ring, once per presentation.  Each row is kept once, as a `Row`: a
-sorted tuple of integer Laurent entries that is its own dedup key.
+each ring, once per presentation.  `build_system` keeps each row as these
+integer Laurent entries; `ConstraintSystem.rows` freezes them on demand
+into `Row`s, sorted tuples that are their own dedup keys, for the readers
+that need each distinct row once.
 The system is solved exactly: rows are reduced by fraction-free elimination
 with per-row content removal, and the nullspace basis is produced by
 back-substitution.  Every basis the solver returns is then brought to one
@@ -18,35 +20,41 @@ depends only on the space: not on the row order, the pivots or the rows
 that were eliminated.
 
 Most identity instances have a mirror: the instance with two inputs
-swapped, whose rows are the instance's times a sign, so that the row freeze
-removes them.  For commute that holds by its form; for eq1 and the linear
-eq, swapping x and y, and for eq2, swapping y and z, it follows from
+swapped, whose rows are the instance's times a sign, so that they add
+nothing to the system.  For commute that holds by its form; for eq1 and the
+linear eq, swapping x and y, and for eq2, swapping y and z, it follows from
 super-skew symmetry, [u, v] = -(-1)^{|u||v|} [v, u], and from alpha
 preserving parity (see `_rows`).  Where the bracket is skew on the pairs
 an exact stream reads (`_skew_on_stream`), and always for commute, `_rows`
 writes one instance of each mirror pair, which about halves the raw rows
-that every solve generates and freezes.  An F_p stream skips mirrors
+that every solve generates, images and checks.  An F_p stream skips mirrors
 unchecked: on a bracket that is not skew it reads a subset of the true
 rows, whose nullity still bounds the exact one, and 0 still proves it 0.
 
-Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset.
-The rows are sent through q -> MOD_POINT into F_p, p = MOD_PRIME, where a
-sparse elimination picks a maximal independent set of their images.  This
-is a ring map, so rows independent mod p are independent over Q(q): the
-subset has the full rank at worst, and its space contains the true one.
-Every basis vector is then checked against every row in Q(q), which proves
-the two spaces equal.  A failed check, or a point with no image, sends the
-solve to the elimination of all rows; an unlucky point costs time, never a
-wrong answer.
+Most rows are redundant, so `nullspace` eliminates over Q(q) only a subset,
+chosen by rank profile.  The rows, fewest entries first, are sent through
+q -> MOD_POINT into F_p, p = MOD_PRIME, each as a sparse elimination reads
+it, and the elimination picks a maximal independent set of their images.
+This is a ring map, so rows independent mod p are independent over Q(q):
+the subset has the full rank at worst, and its space contains the true one.
+Only those rows are eliminated, and every basis vector is then checked
+against every other row, exactly: `_satisfies_all` evaluates each product
+at q = 2^B, with B large enough that the integer is 0 only when the Laurent
+polynomial is.  That proves the two spaces equal.  A failed check, or a
+point with no image, sends the solve to the elimination of all distinct
+rows; an unlucky point costs time, never a wrong answer.
 
 Window truncation leaves boundary unknowns under-constrained, so the raw
 window nullspace can exceed the true solution space.  `stable_solve` filters
 it by solving again on an enlarged window and keeping the restrictions, which
 is the finite stand-in for a solution defined on the whole graded algebra.
-When the window space is already 0 it returns at once: the restrictions must
-satisfy the window system, so they can only be zero.  On graded
-presentations a rank computed modulo the same prime proves that before any
-exact solve, in one pass over the F_p rows that stops at full rank.
+On graded presentations a rank computed modulo the same prime, in one pass
+over the F_p rows that stops at full rank, bounds the window dimension
+before any exact solve.  A bound of 0 proves the stable space 0: the
+restrictions must satisfy the window system, so they can only be zero.
+Otherwise the restrictions, checked against every window row, span a space
+of the window dimension at most; when their rank meets the bound it is
+that dimension, and the window system is not solved.
 """
 
 from __future__ import annotations
@@ -55,10 +63,10 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, product
 from math import gcd as _igcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Generator, Vector, Window
@@ -204,34 +212,44 @@ Row = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 class ConstraintSystem:
     """Sparse exact linear system over the ansatz unknowns.
 
-    A `Row` holds (col, ((exp, coeff), ...)) for each nonzero entry, the
-    Laurent polynomial sum of coeff * q^exp with int coeffs, sorted at both
-    levels.  `build_system` rows have integer content 1, lowest exponent 0
-    and a positive lowest coefficient in their first column.
+    `entries` holds one {col: {exp: coeff}} per row, the nonzero integer
+    Laurent polynomials of each row as `build_system` writes them.  They may
+    share term dicts with the structure-constant tables, so they are read,
+    never changed.  `rows` is the same system frozen and deduplicated, made
+    on first access for the readers that need each row once: the full
+    elimination, the specialization oracle and `--specialize-q`.  A `Row`
+    holds (col, ((exp, coeff), ...)) for each nonzero entry, sorted at both
+    levels, with integer content 1, lowest exponent 0 and a positive lowest
+    coefficient in its first column.
     """
 
     ansatz: HomogeneousAnsatz
-    rows: List[Row] = field(default_factory=list)
+    entries: List[Dict[int, Dict[int, int]]] = field(default_factory=list)
 
     @property
     def nunknowns(self):
         return len(self.ansatz.slots)
 
+    @cached_property
+    def rows(self) -> List[Row]:
+        return list(dict.fromkeys(map(_freeze, self.entries)))
+
 
 def build_system(p, ansatz):
     """Instantiate the class identities over all interior tuples.
 
-    Each row is frozen into a normalized `Row` by `_freeze`, straight from
-    its Z[q, 1/q] values when `p.fast_scalars`, or after `_introw_of` clears
-    the denominators of its Q(q) values, and kept at its first occurrence,
-    in the order `_rows` writes it; no returned basis depends on that order.
+    Each row is kept as `_rows` writes it, in its order: straight from its
+    Z[q, 1/q] values when `p.fast_scalars`, or after `_introw_of` clears
+    the denominators of its Q(q) values.  No row is frozen or deduplicated
+    here (see `ConstraintSystem.rows`), and no returned basis depends on
+    the row order.
     """
     stream = (values for _, _, _, values in _rows(p, ansatz))
     if p.fast_scalars:
-        entries = ({j: v._t for j, v in values.items()} for values in stream)
+        entries = [{j: v._t for j, v in values.items()} for values in stream]
     else:
-        entries = map(_introw_of, stream)
-    return ConstraintSystem(ansatz, list(dict.fromkeys(map(_freeze, entries))))
+        entries = list(map(_introw_of, stream))
+    return ConstraintSystem(ansatz, entries)
 
 
 def single_instance_rows(p, ansatz, inputs):
@@ -286,13 +304,13 @@ def _rules(p, prime=None, point=None):
             return c.num
     else:
         key = (prime, point)
-        power = _powers_mod_p(prime, point)
+        power = _Powers(prime, point)
 
         def image(c):
-            num = _mod_p_value(c.num.items(), prime, power)
+            num = _mod_p_value(c.num._t, prime, power)
             if c.den is _P1:
                 return num
-            den = _mod_p_value(c.den.items(), prime, power)
+            den = _mod_p_value(c.den._t, prime, power)
             if not den:
                 raise _Unlucky(f"a denominator vanishes at q = {point} mod {prime}")
             return num * pow(den, -1, prime) % prime
@@ -333,8 +351,8 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
 
     Otherwise one instance of each mirror pair is kept: eq1 and eq for
     x <= y, eq2 for y <= z and commute for x <= y, in `gens_in` order.  A
-    mirror's rows are the kept instance's times a sign, which the row
-    freeze removes:
+    mirror's rows are the kept instance's times a sign, which add nothing
+    to the system (and which `ConstraintSystem.rows` would deduplicate):
 
     - eq1(y, x, z) = -(-1)^{|x||y|} eq1(x, y, z)
     - eq2(x, z, y) = -(-1)^{|y||z|} eq2(x, y, z)
@@ -577,8 +595,8 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
 # and need a small share of their rows for that.  A window that stays short
 # of full rank reads the whole stream, which skips mirrors unguarded (see
 # `_rows`), over F_p tables that `_rules` makes once per presentation and
-# point.  `nullspace` feeds it the images of the system's rows, shortest
-# first.
+# point.  `nullspace` feeds it `_images_mod_p` of the system's rows, fewest
+# entries first, so a system that reaches full rank images no further rows.
 
 MOD_PRIME = 2**31 - 1
 MOD_POINT = 123457
@@ -588,39 +606,47 @@ class _Unlucky(ArithmeticError):
     """A structure constant has no image at the chosen point."""
 
 
-def _powers_mod_p(prime, point):
-    """q^e -> point^e in F_prime, cached per exponent."""
-    if point % prime == 0:
-        raise _Unlucky("q cannot be sent to 0")
-    cache = {}
+class _Powers(dict):
+    """q^e -> point^e in F_prime, indexed by e and made on first use."""
 
-    def power(e):
-        pw = cache.get(e)
-        if pw is None:
-            pw = cache[e] = pow(point, e, prime)
+    def __init__(self, prime, point):
+        if point % prime == 0:
+            raise _Unlucky("q cannot be sent to 0")
+        self.prime = prime
+        self.point = point
+
+    def __missing__(self, e):
+        pw = self[e] = pow(self.point, e, self.prime)
         return pw
 
-    return power
+
+def _mod_p_value(pol, prime, power):
+    """Image in F_prime of the Laurent polynomial with terms {exp: coeff},
+    `power` a `_Powers` of prime."""
+    return sum(map(mul, pol.values(), map(power.__getitem__, pol))) % prime
 
 
-def _mod_p_value(terms, prime, power):
-    """Image in F_prime of the Laurent polynomial with these (exp, coeff) terms."""
-    return sum(c * power(e) for e, c in terms) % prime
+def _images_mod_p(rows, prime, point):
+    """The images {col: residue} in F_prime of integer Laurent rows
+    {col: {exp: coeff}} under q -> point, each made as it is read.  Each
+    term dict is imaged once (rows share them); a point that is 0 mod prime
+    raises `_Unlucky` at once."""
+    power = _Powers(prime, point)
+    # id(terms) -> (terms, residue); holding the terms keeps the id theirs
+    seen = {}
 
+    def images():
+        for entries in rows:
+            image = {}
+            for j, pol in entries.items():
+                t = seen.get(id(pol))
+                if t is None:
+                    t = seen[id(pol)] = (pol, _mod_p_value(pol, prime, power))
+                if t[1]:
+                    image[j] = t[1]
+            yield image
 
-def _rows_mod_p(rows, prime, point):
-    """Images {col: residue} of system rows (`Row`) under q -> point in
-    F_prime; only a point that is 0 mod prime has none."""
-    power = _powers_mod_p(prime, point)
-    out = []
-    for row in rows:
-        image = {}
-        for j, pol in row:
-            r = _mod_p_value(pol, prime, power)
-            if r:
-                image[j] = r
-        out.append(image)
-    return out
+    return images()
 
 
 def _reduce_mod_p(row, pivots, zeros, prime):
@@ -876,7 +902,9 @@ def _combine(piv, row, c, prow, skipcol):
 def _eliminate(rows):
     """Sparse fraction-free elimination.
 
-    rows: list of normalized integer rows (dict col -> dict exp -> int).
+    rows: list of integer Laurent rows (dict col -> dict exp -> int), taken
+    over and changed in place; each row that outlives the zero cascade is
+    normalized by `_normalize_row`.
     Returns (pivots, zeros): pivots in elimination order as (col, row) with
     the row frozen at selection time; zeros are columns forced to vanish by
     single-entry rows.
@@ -989,10 +1017,11 @@ class SolutionSpace:
     The solver returns the basis in reduced echelon form over slot order
     (see `_canonical_basis`), so it depends only on the space.  A
     `SolutionSpace` built by hand holds whatever vectors it is given.
-    `system` is the window system the space was solved from; when the
-    modular certificate decided the space, it is built on first access.
-    `witness` is that certificate, (p, a, mod-p nullity) for q -> a in F_p,
-    and None when the exact path decided the space.
+    `system` is the window system the space was solved from or checked
+    against, its rows as `build_system` writes them; when the modular
+    certificate proved the space 0, it is built on first access.  `witness`
+    is that certificate, (p, a, 0) for q -> a in F_p, and None when an
+    exact solve decided the space.
     """
 
     ansatz: HomogeneousAnsatz
@@ -1050,39 +1079,39 @@ def nullspace(sys):
     """Exact basis of the solution space of the constraint system, in the
     reduced echelon form of `_canonical_basis`.
 
-    Only the rows whose images under q -> MOD_POINT in F_MOD_PRIME are
-    independent are eliminated over Q(q).  They are independent over Q(q)
-    too, so their space contains the true one.  The basis satisfies the
-    eliminated rows by construction; it is checked against every other row,
-    which makes the two spaces equal.  When a check fails, or the point has
-    no image, all rows are eliminated.  Either way the basis is the same.
+    The rows go to `_independent_mod_p` fewest entries first, each imaged
+    under q -> MOD_POINT in F_MOD_PRIME as it is read, so a system that
+    reaches full rank images no further rows.  Only the rows whose images
+    are independent are eliminated over Q(q).  They are independent over
+    Q(q) too, so their space contains the true one.  The basis satisfies
+    the eliminated rows by construction; `_satisfies_all` checks it against
+    every other row, which makes the two spaces equal.  When the check
+    fails, or the point has no image, the frozen `rows` are all eliminated.
+    Either way the basis is the same.
     """
-    rows = sys.rows
+    entries = sys.entries
+    order = sorted(range(len(entries)), key=lambda i: len(entries[i]))
     try:
-        images = _rows_mod_p(rows, MOD_PRIME, MOD_POINT)
+        images = _images_mod_p(map(entries.__getitem__, order), MOD_PRIME, MOD_POINT)
     except _Unlucky:
-        taken = None
+        pass
     else:
-        # shortest rows first, for less fill-in and shorter rows to eliminate
-        order = sorted(range(len(images)), key=lambda i: len(images[i]))
-        taken = _independent_mod_p(
-            map(images.__getitem__, order), len(sys.ansatz.slots), MOD_PRIME
-        )
-    if taken is not None and len(taken) < len(rows):
+        taken = _independent_mod_p(images, len(sys.ansatz.slots), MOD_PRIME)
         chosen = {order[k] for k in taken}
-        space = _solve_rows(sys, [rows[i] for i in sorted(chosen)])
-        vecs = space.id_vectors()
-        rest = [row for i, row in enumerate(rows) if i not in chosen]
-        if all(_satisfies(row, vec) for vec in vecs for row in rest):
+        space = _solve_rows(sys, [entries[i] for i in sorted(chosen)])
+        rest = (row for i, row in enumerate(entries) if i not in chosen)
+        if _satisfies_all(rest, space.id_vectors()):
             return space
-    return _solve_rows(sys, rows)
+    return _solve_rows(sys, map(dict, sys.rows))
 
 
 def _solve_rows(sys, rows):
-    """Basis of the space cut out by `rows`, a subset of the rows of `sys`."""
+    """Basis of the space cut out by `rows`, rows of `sys` as mappings
+    {col: Laurent terms}, the terms a dict or (exp, coeff) pairs."""
     ansatz = sys.ansatz
-    # `_eliminate` changes its rows in place
-    pivots, zeros = _eliminate([{j: dict(pol) for j, pol in row} for row in rows])
+    # `_eliminate` changes its rows in place, and system entries share
+    # their term dicts with the structure-constant tables
+    pivots, zeros = _eliminate([{j: dict(pol) for j, pol in row.items()} for row in rows])
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
     free = [j for j in range(ncols) if j not in determined]
@@ -1239,22 +1268,60 @@ def express_in_span(vec, vectors):
     return [-rest.get(aux + i, Q0) for i in range(len(vectors))]
 
 
-def _satisfies(row, idvec):
-    """Whether the vector {col: QRational} satisfies the `Row` exactly.
+def _satisfies_all(rows, vecs):
+    """Whether every vector {col: QRational} satisfies every row of integer
+    Laurent entries {col: {exp: coeff}} exactly.
 
-    The vector must hold Laurent polynomials over the shared unit
-    denominator, as canonical vectors do; the products are summed as
-    Laurent dicts.
+    The vectors must hold Laurent polynomials over the shared unit
+    denominator, as canonical vectors do.  A product row . vector is a
+    Laurent polynomial whose coefficients are at most C = (the largest sum
+    of coefficient 1-norms over a row's entries on the vectors' support) *
+    (the largest 1-norm of a vector entry) in absolute value.  At q = 2^B with 2^(B-1) > C its
+    leading term outweighs all the others, so its value is 0 iff it is 0.
+    With every exponent shifted by one constant, each entry's value is one
+    integer, made once per term dict (rows share them), and each product
+    one integer sum.  Only the row entries on the vectors' support are read.
     """
-    acc = {}
-    for j, pol in row:
-        v = idvec.get(j)
-        if v is not None:
-            if v.den is not _P1:
-                raise ValueError("_satisfies needs vector entries over the unit denominator")
-            for e, x in _pmul(dict(pol), v.num._t).items():
-                acc[e] = acc.get(e, 0) + x
-    return not any(acc.values())
+    vecs = [vec for vec in vecs if vec]
+    for vec in vecs:
+        if any(v.den is not _P1 for v in vec.values()):
+            raise ValueError("the exact check needs vector entries over the unit denominator")
+    support = set().union(*vecs)
+    # id(terms) -> (terms, 1-norm); holding the terms keeps the id theirs
+    seen = {}
+    parts = []
+    rnorm = 0
+    for row in rows:
+        part = []
+        norm = 0
+        for j, pol in row.items():
+            if j in support:
+                key = id(pol)
+                t = seen.get(key)
+                if t is None:
+                    t = seen[key] = (pol, sum(map(abs, pol.values())))
+                norm += t[1]
+                part.append((j, key))
+        if part:
+            parts.append(part)
+            rnorm = max(rnorm, norm)
+    if not parts:
+        return True
+    vterms = [v.num._t for vec in vecs for v in vec.values()]
+    b = (rnorm * max(sum(map(abs, t.values())) for t in vterms)).bit_length() + 1
+
+    def values(pols, lo):
+        return {key: sum(c << b * (e - lo) for e, c in pol.items()) for key, pol in pols}
+
+    at = values([(key, pol) for key, (pol, _) in seen.items()],
+                min(min(pol) for pol, _ in seen.values()))
+    lo = min(map(min, vterms))
+    vvals = [values([(j, v.num._t) for j, v in vec.items()], lo) for vec in vecs]
+    for part in parts:
+        for vals in vvals:
+            if sum(at[key] * vals[j] for j, key in part if j in vals):
+                return False
+    return True
 
 
 def restrict_space(space, small_ansatz):
@@ -1269,22 +1336,28 @@ def restrict_space(space, small_ansatz):
 def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     """Solutions on the window that extend to a window enlarged by delta.
 
-    Solves both systems, restricts the enlarged solutions, verifies they
-    satisfy the window system, and returns the `_canonical_basis` of the
-    restriction span (the intersection with the raw window space).
+    Solves the enlarged system, restricts its solutions, checks them
+    against every row of the window system with `_satisfies_all`, and
+    returns the `_canonical_basis` of the restriction span (the
+    intersection with the raw window space).
 
-    When the window space is 0 the enlarged system is not solved, and
-    `raw_enlarged_dim` is None: every restriction satisfies the window
-    system, so it is zero, and the stable space is 0 whatever the enlarged
-    space is.  On a graded presentation a mod-p nullity of 0 proves that
-    without the exact window solve; the space then carries the rank witness.
-    `_streamed_nullity` decides it in one pass over the F_p rows of `_rows`:
-    it stops as soon as their rank reaches the number of unknowns, and it
-    reads F_p structure tables made once per presentation.  A nonzero
-    nullity bounds the exact window dimension from above, since rank can
-    only drop under q -> point, and the exact solve is checked against it.
-    Scalar presentations keep the exact path, which reports
-    `raw_enlarged_dim` as the window dimension.
+    On a graded presentation `_streamed_nullity` first bounds the window
+    dimension from above by the nullity of the rows' images under
+    q -> point in F_p, since rank can only drop there.  It decides that in
+    one pass over the F_p rows of `_rows`, which stops as soon as their rank
+    reaches the number of unknowns, and it reads F_p structure tables made
+    once per presentation.  A bound of 0 proves the stable space 0 with no
+    exact solve: the restrictions satisfy the window system, so they can
+    only be zero.  The space then carries the rank witness, and
+    `raw_enlarged_dim` is None.  Otherwise the enlarged system is solved
+    first.  The restrictions lie in the window space, so their rank r is at
+    most its dimension: r equal to the bound proves that dimension r with
+    no exact window solve, and r above it fails.  Below it, and on a point
+    with no image, the window system is solved exactly and checked against
+    the bound; a window space of 0 is then reported as above, without the
+    enlarged dimension.  Scalar presentations and delta 0 keep the exact
+    window solve alone, which reports `raw_enlarged_dim` as the window
+    dimension.
     """
     if window is None:
         raise ValueError("a window is required")
@@ -1297,40 +1370,48 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
         bound = _streamed_nullity(p, ansatz, prime, point)
         if bound == 0:
             return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))
-    sys_small = build_system(p, ansatz)
-    small = nullspace(sys_small)
-    if bound is not None and small.dim > bound:
-        raise AssertionError(
-            f"window nullity {small.dim} exceeds the mod-p nullity {bound}; "
-            "the F_p rows are inconsistent with the window system"
-        )
-    if p.is_scalar or delta == 0:
-        small.raw_window_dim = small.dim
-        small.raw_enlarged_dim = small.dim
-        return small
-    if small.dim == 0:
-        small.raw_window_dim = 0
-        return small
+    small = None
+    if bound is None:
+        sys_small = build_system(p, ansatz)
+        small = nullspace(sys_small)
+        if p.is_scalar or delta == 0:
+            small.raw_window_dim = small.dim
+            small.raw_enlarged_dim = small.dim
+            return small
+        if small.dim == 0:
+            small.raw_window_dim = 0
+            return small
     big_ansatz = build_ansatz(
         p, kind, cls, s=s, parity=parity, window=window.widen(delta), k=k
     )
     big = nullspace(build_system(p, big_ansatz))
+    if small is None:
+        sys_small = build_system(p, ansatz)
     index = ansatz.index
-    restricted = []
-    for vec in restrict_space(big, ansatz):
-        idvec = {index[kk]: v for kk, v in vec.items()}
-        restricted.append(idvec)
-    for idvec in restricted:
-        for row in sys_small.rows:
-            if not _satisfies(row, idvec):
-                raise AssertionError(
-                    "restriction of an enlarged-window solution violates the "
-                    "window system; constraint generation is inconsistent"
-                )
+    restricted = [
+        {index[kk]: v for kk, v in vec.items()} for vec in restrict_space(big, ansatz)
+    ]
+    if not _satisfies_all(sys_small.entries, restricted):
+        raise AssertionError(
+            "restriction of an enlarged-window solution violates the "
+            "window system; constraint generation is inconsistent"
+        )
+    basis = _canonical_basis(ansatz, restricted)
+    if small is None and len(basis) < bound:
+        small = nullspace(sys_small)
+    raw = len(basis) if small is None else small.dim
+    if bound is not None and raw > bound:
+        raise AssertionError(
+            f"window nullity {raw} exceeds the mod-p nullity {bound}; "
+            "the F_p rows are inconsistent with the window system"
+        )
+    if raw == 0:
+        small.raw_window_dim = 0
+        return small
     return SolutionSpace(
         ansatz,
-        _canonical_basis(ansatz, restricted),
-        raw_window_dim=small.dim,
+        basis,
+        raw_window_dim=raw,
         raw_enlarged_dim=big.dim,
         _system=sys_small,
     )

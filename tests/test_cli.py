@@ -110,7 +110,8 @@ def test_specialize_q_reuses_the_window_system(capsys, monkeypatch, cls, enlarge
     assert code == 0
     result = json.loads(out)["results"][0]
     window = Window(-1, 1)
-    assert windows == ([window, window.widen(2)] if enlarged else [window])
+    # each window is built once, the enlarged one first
+    assert windows == ([window.widen(2), window] if enlarged else [window])
     p = builtin("wittq")
     sysw = build(p, solver.build_ansatz(
         p, "bilinear", cls.replace("-", "_"), s=0, window=window,

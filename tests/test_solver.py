@@ -144,9 +144,8 @@ def test_empty_system_has_identity_basis(wittq):
 
 def test_single_difference_row(wittq):
     ansatz = build_ansatz(wittq, "bilinear", "biderivation", s=0, window=Window(0, 1))
-    sys = ConstraintSystem(ansatz)
     # x0 - x1 = 0
-    sys.rows.append(((0, ((0, 1),)), (1, ((0, -1),))))
+    sys = ConstraintSystem(ansatz, [{0: {0: 1}, 1: {0: -1}}])
     sol = nullspace(sys)
     assert sol.dim == 3
     # the x0 = x1 relation holds in every basis vector
@@ -661,7 +660,8 @@ def test_vanishing_window_skips_enlarged_system(wittq, monkeypatch):
     windows.clear()
     one = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
     assert one.dim == 1 and one.raw_enlarged_dim is not None
-    assert windows == [SMALL, SMALL.widen(2)]
+    # each window is built once, the enlarged one first
+    assert windows == [SMALL.widen(2), SMALL]
 
 
 @pytest.mark.parametrize("alg,cls,s,parity,dim", [
@@ -829,15 +829,14 @@ def test_presentation_pickles_after_a_pass(alg):
 def test_unguarded_mod_p_pass_is_sound_on_a_bracket_that_is_not_skew(alg, s):
     # the F_p stream skips mirrors without the skew guard, so on these
     # brackets it reads a subset of the true rows: its nullity can only
-    # exceed the exact one, and stable_solve still gives the full filter's
-    # space
+    # exceed the exact one, and stable_solve still reports what the exact
+    # two-window filter does
     p = _presentation(alg)
     for cls, parity in _classes(p):
         a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
         assert _mod_p_nullity(p, a) >= nullspace(build_system(p, a)).dim
-        _, basis = _two_window_stable_basis(p, cls, s, parity, SMALL, 2)
         space = stable_solve(p, _kind(cls), cls, s=s, parity=parity, window=SMALL, delta=2)
-        assert space.basis == basis
+        assert _reported(space) == _with_certificate(p, cls, s, parity, SMALL, 2)
 
 
 def _image_mod_p(value, prime, point):
@@ -941,11 +940,11 @@ def test_vanishing_space_carries_its_rank_witness(wittq, monkeypatch):
 
 def _exact_stable_space(p, cls, s, parity, window, delta):
     """The fields stable_solve reports, from exact solves only."""
-    small = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window)
+    small = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
     raw = nullspace(build_system(p, small)).dim
     enlarged = None
     if raw:
-        big = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=window.widen(delta))
+        big = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window.widen(delta))
         enlarged = nullspace(build_system(p, big)).dim
     _, basis = _two_window_stable_basis(p, cls, s, parity, window, delta)
     return len(basis), basis, raw, enlarged, None
@@ -975,6 +974,61 @@ def test_unlucky_point_falls_back_to_the_exact_path(monkeypatch, alg, cls, parit
     assert _reported(space) == _exact_stable_space(p, cls, s, parity, SMALL, 2)
 
 
+def _nullspace_windows(monkeypatch):
+    """Record the window of each system `nullspace` solves."""
+    windows = []
+    solve = solver.nullspace
+
+    def spy(sys):
+        windows.append(sys.ansatz.window)
+        return solve(sys)
+
+    monkeypatch.setattr(solver, "nullspace", spy)
+    return windows
+
+
+def _with_certificate(p, cls, s, parity, window, delta):
+    """`_exact_stable_space`, with the witness a vanishing mod-p pass gives."""
+    *fields, _ = _exact_stable_space(p, cls, s, parity, window, delta)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
+    vanishing = _mod_p_nullity(p, a) == 0
+    return (*fields, (solver.MOD_PRIME, solver.MOD_POINT, 0) if vanishing else None)
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", NONZERO_SPACES)
+def test_window_dim_from_the_mod_p_bound_equals_the_exact_path(monkeypatch, alg, cls,
+                                                               parity, s):
+    # the restrictions' rank meets the mod-p bound, so only the enlarged
+    # window is solved (the bracket-not-skew cases, where the bound can
+    # exceed it, are in the test of the unguarded pass)
+    p = builtin(alg)
+    expected = _with_certificate(p, cls, s, parity, SMALL, 2)
+    windows = _nullspace_windows(monkeypatch)
+    space = stable_solve(p, "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2)
+    assert _reported(space) == expected
+    assert windows == [SMALL.widen(2)]
+    assert nullspace(space.system).dim == space.raw_window_dim
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", NONZERO_SPACES)
+def test_over_reported_bound_runs_the_exact_window_solve(monkeypatch, alg, cls, parity, s):
+    p = builtin(alg)
+    expected = _with_certificate(p, cls, s, parity, SMALL, 2)
+    nullity = solver._streamed_nullity
+    monkeypatch.setattr(solver, "_streamed_nullity", lambda *args: nullity(*args) + 1)
+    windows = _nullspace_windows(monkeypatch)
+    space = stable_solve(p, "bilinear", cls, s=s, parity=parity, window=SMALL, delta=2)
+    assert _reported(space) == expected
+    assert windows == [SMALL.widen(2), SMALL]
+
+
+def test_bound_above_a_vanishing_window_reports_no_enlarged_dim(monkeypatch, wittq):
+    monkeypatch.setattr(solver, "_streamed_nullity", lambda *args: 1)
+    space = stable_solve(wittq, "bilinear", "alpha_biderivation", s=0, window=SMALL, delta=2)
+    assert (space.dim, space.raw_window_dim, space.raw_enlarged_dim) == (0, 0, None)
+    assert space.witness is None
+
+
 # -- rows selected mod p, checked exactly --------------------------------------
 
 
@@ -992,23 +1046,23 @@ def _eliminated_row_counts(monkeypatch):
 
 
 def _full_elimination(sys):
-    return solver._solve_rows(sys, sys.rows)
+    return solver._solve_rows(sys, map(dict, sys.rows))
 
 
 def _assert_selected_rows_suffice(monkeypatch, p, a):
     sys = build_system(p, a)
     counts = _eliminated_row_counts(monkeypatch)
     space = nullspace(sys)
-    # one elimination, of fewer rows than the system has: the selected rows
-    # passed the exact check against every row
-    assert len(counts) == 1 and counts[0] < len(sys.rows)
+    # one elimination, of fewer rows than the system has distinct ones: the
+    # selected rows passed the exact check against every row
+    assert len(counts) == 1 and counts[0] < len(sys.rows) <= len(sys.entries)
     full = _full_elimination(sys)
     assert counts[0] == len(a) - full.dim
     assert space.dim == full.dim
     assert space == full
     # the basis depends only on the space: neither the row order nor the
     # point that selects the rows changes it
-    assert nullspace(ConstraintSystem(a, sys.rows[::-1])) == full
+    assert nullspace(ConstraintSystem(a, sys.entries[::-1])) == full
     monkeypatch.setattr(solver, "MOD_POINT", 65537)
     assert nullspace(sys) == full
 
@@ -1045,10 +1099,23 @@ def test_row_selection_stops_at_full_rank(monkeypatch, w22q):
                 yield row
         return independent(each(), ncols, prime)
 
+    imaged = []
+    images = solver._images_mod_p
+
+    def counted_images(rows, prime, point):
+        def each():
+            for row in rows:
+                imaged.append(1)
+                yield row
+        return images(each(), prime, point)
+
     monkeypatch.setattr(solver, "_independent_mod_p", counted)
+    monkeypatch.setattr(solver, "_images_mod_p", counted_images)
     space = nullspace(sys)
-    # a vanishing space reaches full rank before its last row
+    # a vanishing space reaches full rank before its last row, and no row
+    # past the last one read is imaged
     assert len(read) < len(sys.rows)
+    assert len(imaged) == len(read)
     assert space == _full_elimination(sys)
     assert space.dim == 0
 
@@ -1066,7 +1133,7 @@ def test_nullspace_at_an_unlucky_point_runs_the_full_elimination(monkeypatch, al
     expected = _full_elimination(sys)
     rank = len(a) - expected.dim
     # q -> 1 mod 2 loses rank, so the selected rows leave too large a space
-    assert len(solver._independent_mod_p(solver._rows_mod_p(sys.rows, 2, 1), len(a), 2)) < rank
+    assert len(solver._independent_mod_p(solver._images_mod_p(sys.entries, 2, 1), len(a), 2)) < rank
     monkeypatch.setattr(solver, "MOD_PRIME", 2)
     monkeypatch.setattr(solver, "MOD_POINT", 1)
     counts = _eliminated_row_counts(monkeypatch)
@@ -1262,15 +1329,82 @@ def test_exact_check_is_exact_and_needs_unit_denominators(wittq):
     vecs = nullspace(system).id_vectors()
     assert vecs
     for vec in vecs:
-        assert all(solver._satisfies(row, vec) for row in system.rows)
+        assert solver._satisfies_all(system.entries, [vec])
         j = next(iter(vec))
         wrong = dict(vec)
         wrong[j] = vec[j] + Q1
-        assert not all(solver._satisfies(row, wrong) for row in system.rows)
-    row = next(r for r in system.rows if any(j in vecs[0] for j, _ in r))
+        assert not solver._satisfies_all(system.entries, [wrong])
+    row = next(r for r in system.entries if any(j in vecs[0] for j in r))
     scaled = {j: v / QRational(LaurentPoly({0: 1, 1: 1})) for j, v in vecs[0].items()}
     with pytest.raises(ValueError, match="unit denominator"):
-        solver._satisfies(row, scaled)
+        solver._satisfies_all([row], [scaled])
+
+
+def _laurent_satisfies(row, vec):
+    """Reference for `_satisfies_all` on one row and one vector: the
+    products summed as Laurent polynomials."""
+    acc = {}
+    for j, pol in row.items():
+        v = vec.get(j)
+        if v is not None:
+            for e, x in solver._pmul(pol, v.num._t).items():
+                acc[e] = acc.get(e, 0) + x
+    return not any(acc.values())
+
+
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    ("w22q", "biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", 0, 0),
+    ("wittsuperq", "super_biderivation", 1, -1),
+])
+def test_integer_check_agrees_with_laurent_products(alg, cls, parity, s):
+    # Laurent combinations of the basis satisfy every row; one perturbed
+    # entry, by a small or a large term, breaks the rows that read it
+    p = builtin(alg)
+    a = build_ansatz(p, "bilinear", cls, s=s, parity=parity, window=SMALL)
+    system = build_system(p, a)
+    basis = nullspace(system).id_vectors()
+    rng = random.Random(f"{alg}-{parity}")
+    verdicts = set()
+    for _ in range(100):
+        vec = {}
+        for b in basis:
+            c = QRational(LaurentPoly({rng.randrange(-2, 3): rng.choice((-3, 1, 2))}))
+            for j, v in b.items():
+                vec[j] = vec.get(j, Q0) + c * v
+        j = rng.randrange(len(a))
+        if rng.random() < 0.8:
+            term = LaurentPoly({rng.randrange(-3, 4): rng.choice((-1, 2, 2**40, -(2**40)))})
+            vec[j] = vec.get(j, Q0) + QRational(term)
+        vec = {k: v for k, v in vec.items() if not v.is_zero}
+        rows = [r for r in system.entries if j in r] + rng.sample(system.entries, 10)
+        for row in rows:
+            verdict = _laurent_satisfies(row, vec)
+            assert solver._satisfies_all([row], [vec]) == verdict
+            verdicts.add(verdict)
+        assert solver._satisfies_all(rows, [vec]) == all(
+            _laurent_satisfies(row, vec) for row in rows)
+    assert verdicts == {True, False}
+
+
+def test_integer_check_sees_a_large_coefficient():
+    # row . vector = 2^40 - q, which vanishes at q = 2^40: a B of 40, too
+    # small for the coefficient, would call it satisfied
+    q = QRational(LaurentPoly({1: 1}))
+    big = QRational(2**40)
+    assert not solver._satisfies_all([{0: {0: 2**40}, 1: {1: -1}}], [{0: Q1, 1: Q1}])
+    assert not solver._satisfies_all([{0: {0: 1}, 1: {1: -1}}], [{0: big, 1: Q1}])
+    assert not solver._satisfies_all([{0: {0: 2**40}}], [{0: Q1}])
+    # 2^40 q - q 2^40 is 0
+    assert solver._satisfies_all([{0: {0: 2**40}, 1: {1: -1}}], [{0: q, 1: big}])
+    # (q - 2)(q - 4)...(q - 2^40) vanishes at q = 2^B for every B up to 40,
+    # so only a B past its coefficients' size sees that it is not 0
+    roots = {0: 1}
+    for k in range(1, 41):
+        roots = solver._pmul(roots, {0: -(2**k), 1: 1})
+    assert not solver._satisfies_all([{0: roots}], [{0: Q1}])
+    head = {e: c for e, c in roots.items() if e < 40}
+    assert not solver._satisfies_all([{0: head, 1: {40: 1}}], [{0: Q1, 1: Q1}])
 
 
 # -- utility layer ------------------------------------------------------------------
