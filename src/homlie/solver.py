@@ -620,6 +620,22 @@ class _Powers(dict):
         return pw
 
 
+def _per_term_dict(value):
+    """`of`, with of(terms) = value(terms) for Laurent term dicts
+    {exp: coeff} made once per dict, and its memo `seen`.  Rows share their
+    term dicts, so `seen` is keyed by id(terms); each item is
+    (terms, value), and holding the terms keeps the id theirs."""
+    seen = {}
+
+    def of(terms):
+        t = seen.get(id(terms))
+        if t is None:
+            t = seen[id(terms)] = (terms, value(terms))
+        return t[1]
+
+    return of, seen
+
+
 def _mod_p_value(pol, prime, power):
     """Image in F_prime of the Laurent polynomial with terms {exp: coeff},
     `power` a `_Powers` of prime."""
@@ -632,18 +648,15 @@ def _images_mod_p(rows, prime, point):
     term dict is imaged once (rows share them); a point that is 0 mod prime
     raises `_Unlucky` at once."""
     power = _Powers(prime, point)
-    # id(terms) -> (terms, residue); holding the terms keeps the id theirs
-    seen = {}
+    residue, _ = _per_term_dict(lambda pol: _mod_p_value(pol, prime, power))
 
     def images():
         for entries in rows:
             image = {}
             for j, pol in entries.items():
-                t = seen.get(id(pol))
-                if t is None:
-                    t = seen[id(pol)] = (pol, _mod_p_value(pol, prime, power))
-                if t[1]:
-                    image[j] = t[1]
+                r = residue(pol)
+                if r:
+                    image[j] = r
             yield image
 
     return images()
@@ -1287,24 +1300,19 @@ def _satisfies_all(rows, vecs):
         if any(v.den is not _P1 for v in vec.values()):
             raise ValueError("the exact check needs vector entries over the unit denominator")
     support = set().union(*vecs)
-    # id(terms) -> (terms, 1-norm); holding the terms keeps the id theirs
-    seen = {}
+    norm, seen = _per_term_dict(lambda pol: sum(map(abs, pol.values())))
     parts = []
     rnorm = 0
     for row in rows:
         part = []
-        norm = 0
+        size = 0
         for j, pol in row.items():
             if j in support:
-                key = id(pol)
-                t = seen.get(key)
-                if t is None:
-                    t = seen[key] = (pol, sum(map(abs, pol.values())))
-                norm += t[1]
-                part.append((j, key))
+                size += norm(pol)
+                part.append((j, id(pol)))
         if part:
             parts.append(part)
-            rnorm = max(rnorm, norm)
+            rnorm = max(rnorm, size)
     if not parts:
         return True
     vterms = [v.num._t for vec in vecs for v in vec.values()]
@@ -1364,29 +1372,19 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     ansatz = build_ansatz(p, kind, cls, s=s, parity=parity, window=window, k=k)
-    bound = None
-    if delta and not p.is_scalar:
-        prime, point = MOD_PRIME, MOD_POINT
-        bound = _streamed_nullity(p, ansatz, prime, point)
-        if bound == 0:
-            return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))
-    small = None
-    if bound is None:
-        sys_small = build_system(p, ansatz)
-        small = nullspace(sys_small)
-        if p.is_scalar or delta == 0:
-            small.raw_window_dim = small.dim
-            small.raw_enlarged_dim = small.dim
-            return small
-        if small.dim == 0:
-            small.raw_window_dim = 0
-            return small
+    if p.is_scalar or delta == 0:
+        small = nullspace(build_system(p, ansatz))
+        small.raw_window_dim = small.raw_enlarged_dim = small.dim
+        return small
+    prime, point = MOD_PRIME, MOD_POINT
+    bound = _streamed_nullity(p, ansatz, prime, point)
+    if bound == 0:
+        return SolutionSpace(ansatz, [], raw_window_dim=0, witness=(prime, point, 0))
     big_ansatz = build_ansatz(
         p, kind, cls, s=s, parity=parity, window=window.widen(delta), k=k
     )
     big = nullspace(build_system(p, big_ansatz))
-    if small is None:
-        sys_small = build_system(p, ansatz)
+    sys_small = build_system(p, ansatz)
     index = ansatz.index
     restricted = [
         {index[kk]: v for kk, v in vec.items()} for vec in restrict_space(big, ansatz)
@@ -1397,8 +1395,7 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
             "window system; constraint generation is inconsistent"
         )
     basis = _canonical_basis(ansatz, restricted)
-    if small is None and len(basis) < bound:
-        small = nullspace(sys_small)
+    small = nullspace(sys_small) if bound is None or len(basis) < bound else None
     raw = len(basis) if small is None else small.dim
     if bound is not None and raw > bound:
         raise AssertionError(
