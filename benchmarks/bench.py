@@ -6,10 +6,8 @@ carry named maps (w22q and wittq biderivations at degree 0, wittsuperq
 even super-biderivations at degree 0 and odd ones at degree -1), and the
 vanishing windows are the others.  For each space it times `build_system`
 and `nullspace` on the window, then `stable_solve` with its enlarged window
-(delta 2), at the `reproduce-paper` window [-6,6], and counts the raw rows
-`build_system` keeps for the window beside the distinct rows that
-`ConstraintSystem.rows` freezes; it freezes them on first access, so they
-are counted outside the timed regions.  A second section times
+(delta 2), at the `reproduce-paper` window [-6,6], and counts the rows
+`build_system` writes for the window.  A second section times
 `stable_solve` on the vanishing windows at the same window, and counts the
 spaces the mod-p certificate proved 0.  A third section times the checker at the same
 window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
@@ -104,9 +102,7 @@ def bench_space(alg, cls, parity, s):
         "parity": parity,
         "s": s,
         "unknowns": len(ansatz),
-        "raw_rows": len(sys_.entries),
-        # outside the timed regions: the first access freezes the rows
-        "unique_rows": len(sys_.rows),
+        "raw_rows": len(sys_.rows),
         "window_dim": space.dim,
         "stable_dim": stable.dim,
         "raw_enlarged_dim": stable.raw_enlarged_dim,

@@ -9,9 +9,7 @@ A presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) gives rows of
 integer Laurent polynomials; any other, rational constants included, gives
 Q(q) rows whose denominators are cleared; `_rules` gives the constants in
 each ring, once per presentation.  `build_system` keeps each row as these
-integer Laurent entries; `ConstraintSystem.rows` freezes them on demand
-into `Row`s, sorted tuples that are their own dedup keys, for the readers
-that need each distinct row once.
+integer Laurent entries, {col: {exp: coeff}}, as they are generated.
 The system is solved exactly: rows are reduced by fraction-free elimination
 with per-row content removal, and the nullspace basis is produced by
 back-substitution.  Every basis the solver returns is then brought to one
@@ -41,8 +39,8 @@ Only those rows are eliminated, and every basis vector is then checked
 against every other row, exactly: `_satisfies_all` evaluates each product
 at q = 2^B, with B large enough that the integer is 0 only when the Laurent
 polynomial is.  That proves the two spaces equal.  A failed check, or a
-point with no image, sends the solve to the elimination of all distinct
-rows; an unlucky point costs time, never a wrong answer.
+point with no image, sends the solve to the elimination of all rows; an
+unlucky point costs time, never a wrong answer.
 
 Window truncation leaves boundary unknowns under-constrained, so the raw
 window nullspace can exceed the true solution space.  `stable_solve` filters
@@ -63,7 +61,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, product
 from math import gcd as _igcd
 from operator import itemgetter, mul
@@ -205,34 +203,22 @@ def build_ansatz(p, kind, cls, s=0, parity=0, window=None, k=1):
     return HomogeneousAnsatz(p, kind, cls, s, parity, window, k=k)
 
 
-Row = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
-
-
 @dataclass
 class ConstraintSystem:
     """Sparse exact linear system over the ansatz unknowns.
 
-    `entries` holds one {col: {exp: coeff}} per row, the nonzero integer
+    `rows` holds one {col: {exp: coeff}} per row, the nonzero integer
     Laurent polynomials of each row as `build_system` writes them.  They may
     share term dicts with the structure-constant tables, so they are read,
-    never changed.  `rows` is the same system frozen and deduplicated, made
-    on first access for the readers that need each row once: the full
-    elimination, the specialization oracle and `--specialize-q`.  A `Row`
-    holds (col, ((exp, coeff), ...)) for each nonzero entry, sorted at both
-    levels, with integer content 1, lowest exponent 0 and a positive lowest
-    coefficient in its first column.
+    never changed.
     """
 
     ansatz: HomogeneousAnsatz
-    entries: List[Dict[int, Dict[int, int]]] = field(default_factory=list)
+    rows: List[Dict[int, Dict[int, int]]] = field(default_factory=list)
 
     @property
     def nunknowns(self):
         return len(self.ansatz.slots)
-
-    @cached_property
-    def rows(self) -> List[Row]:
-        return list(dict.fromkeys(map(_freeze, self.entries)))
 
 
 def build_system(p, ansatz):
@@ -240,16 +226,15 @@ def build_system(p, ansatz):
 
     Each row is kept as `_rows` writes it, in its order: straight from its
     Z[q, 1/q] values when `p.fast_scalars`, or after `_introw_of` clears
-    the denominators of its Q(q) values.  No row is frozen or deduplicated
-    here (see `ConstraintSystem.rows`), and no returned basis depends on
-    the row order.
+    the denominators of its Q(q) values.  No returned basis depends on the
+    row order.
     """
     stream = (values for _, _, _, values in _rows(p, ansatz))
     if p.fast_scalars:
-        entries = [{j: v._t for j, v in values.items()} for values in stream]
+        rows = [{j: v._t for j, v in values.items()} for values in stream]
     else:
-        entries = list(map(_introw_of, stream))
-    return ConstraintSystem(ansatz, entries)
+        rows = list(map(_introw_of, stream))
+    return ConstraintSystem(ansatz, rows)
 
 
 def single_instance_rows(p, ansatz, inputs):
@@ -352,7 +337,7 @@ def _rows(p, ansatz, prime=None, point=None, only=None):
     Otherwise one instance of each mirror pair is kept: eq1 and eq for
     x <= y, eq2 for y <= z and commute for x <= y, in `gens_in` order.  A
     mirror's rows are the kept instance's times a sign, which add nothing
-    to the system (and which `ConstraintSystem.rows` would deduplicate):
+    to the system:
 
     - eq1(y, x, z) = -(-1)^{|x||y|} eq1(x, y, z)
     - eq2(x, z, y) = -(-1)^{|y||z|} eq2(x, y, z)
@@ -765,30 +750,6 @@ def _introw_of(values):
     return entries
 
 
-def _freeze(entries):
-    """The `Row` of nonzero integer Laurent entries {col: {exp: coeff}}.
-
-    The entries are divided by the lowest power of q and their integer
-    content, and the sign makes the lowest coefficient of the first column
-    positive.
-    """
-    if len(entries) == 1:
-        # a single nonzero coefficient forces its unknown to vanish
-        (j,) = entries
-        return ((j, ((0, 1),)),)
-    shift = min(map(min, entries.values()))
-    g = 0
-    for pol in entries.values():
-        g = _igcd(g, *pol.values())
-    row = sorted(entries.items())
-    first = row[0][1]
-    if first[min(first)] < 0:
-        g = -g
-    return tuple(
-        (j, tuple(sorted((e - shift, c // g) for e, c in pol.items()))) for j, pol in row
-    )
-
-
 # dense integer polynomial rows: {col: (lowest exponent, coefficient list)}
 
 
@@ -1099,31 +1060,31 @@ def nullspace(sys):
     Q(q) too, so their space contains the true one.  The basis satisfies
     the eliminated rows by construction; `_satisfies_all` checks it against
     every other row, which makes the two spaces equal.  When the check
-    fails, or the point has no image, the frozen `rows` are all eliminated.
-    Either way the basis is the same.
+    fails, or the point has no image, all the rows are eliminated.  Either
+    way the basis is the same.
     """
-    entries = sys.entries
-    order = sorted(range(len(entries)), key=lambda i: len(entries[i]))
+    rows = sys.rows
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
     try:
-        images = _images_mod_p(map(entries.__getitem__, order), MOD_PRIME, MOD_POINT)
+        images = _images_mod_p(map(rows.__getitem__, order), MOD_PRIME, MOD_POINT)
     except _Unlucky:
         pass
     else:
         taken = _independent_mod_p(images, len(sys.ansatz.slots), MOD_PRIME)
         chosen = {order[k] for k in taken}
-        space = _solve_rows(sys, [entries[i] for i in sorted(chosen)])
-        rest = (row for i, row in enumerate(entries) if i not in chosen)
+        space = _solve_rows(sys, [rows[i] for i in sorted(chosen)])
+        rest = (row for i, row in enumerate(rows) if i not in chosen)
         if _satisfies_all(rest, space.id_vectors()):
             return space
-    return _solve_rows(sys, map(dict, sys.rows))
+    return _solve_rows(sys, rows)
 
 
 def _solve_rows(sys, rows):
     """Basis of the space cut out by `rows`, rows of `sys` as mappings
-    {col: Laurent terms}, the terms a dict or (exp, coeff) pairs."""
+    {col: {exp: coeff}}."""
     ansatz = sys.ansatz
-    # `_eliminate` changes its rows in place, and system entries share
-    # their term dicts with the structure-constant tables
+    # `_eliminate` changes its rows in place, and system rows share their
+    # term dicts with the structure-constant tables
     pivots, zeros = _eliminate([{j: dict(pol) for j, pol in row.items()} for row in rows])
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
@@ -1149,9 +1110,10 @@ def nullspace_dim_specialized(sys, q0):
     """Nullspace dimension after specializing q, by sparse integer elimination.
 
     Each row is evaluated at q0 = a/b and multiplied by a^-lo * b^hi, lo and
-    hi its lowest and highest exponents, which makes it an integer row; q0
-    in {0, 1, -1} is refused.  The rows are eliminated over Z, the shortest
-    row becoming the pivot and each new row divided by its content.
+    hi its lowest and highest exponents, which makes it an integer row, and
+    divided by its content; q0 in {0, 1, -1} is refused.  The rows are
+    eliminated over Z, the shortest row becoming the pivot and each new row
+    divided by its content.
     Independent of the symbolic path (no Laurent polynomials, no mod p, no
     row selection); used as a cross-check oracle.
     """
@@ -1161,17 +1123,18 @@ def nullspace_dim_specialized(sys, q0):
     a, b = q0.numerator, q0.denominator
     rows = []
     for row in sys.rows:
-        exps = [e for _, pol in row for e, _ in pol]
-        lo, hi = min(exps), max(exps)
+        lo = min(map(min, row.values()))
+        hi = max(map(max, row.values()))
         apow = [a**i for i in range(hi - lo + 1)]
         bpow = [b**i for i in range(hi - lo + 1)]
         vals = {}
-        for j, pol in row:
-            v = sum(c * apow[e - lo] * bpow[hi - e] for e, c in pol)
+        for j, pol in row.items():
+            v = sum(c * apow[e - lo] * bpow[hi - e] for e, c in pol.items())
             if v:
                 vals[j] = v
         if vals:
-            rows.append(vals)
+            g = _igcd(*vals.values())
+            rows.append({j: v // g for j, v in vals.items()})
     rank = 0
     while rows:
         piv = min(rows, key=len)
@@ -1389,7 +1352,7 @@ def stable_solve(p, kind, cls, s=0, parity=0, window=None, delta=2, k=1):
     restricted = [
         {index[kk]: v for kk, v in vec.items()} for vec in restrict_space(big, ansatz)
     ]
-    if not _satisfies_all(sys_small.entries, restricted):
+    if not _satisfies_all(sys_small.rows, restricted):
         raise AssertionError(
             "restriction of an enlarged-window solution violates the "
             "window system; constraint generation is inconsistent"

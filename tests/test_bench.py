@@ -26,7 +26,7 @@ def test_bench_times_the_spaces_that_reproduce_paper_scans(bench):
     assert ("wittq", "biderivation", 0, 0) in bench.SPACES
     row = bench.bench_space("wittq", "biderivation", 0, 0)
     assert row["stable_dim"] == 1
-    assert 0 < row["unique_rows"] <= row["raw_rows"]
+    assert row["raw_rows"] > 0
     spread = row["stable_solve"]
     assert spread["q1_s"] == spread["median_s"] == spread["q3_s"]
 

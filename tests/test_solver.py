@@ -216,8 +216,8 @@ def _dense_fraction_nullity(sys, q0):
     rows = []
     for row in sys.rows:
         dense = [Fraction(0)] * ncols
-        for j, pol in row:
-            dense[j] = sum((c * q0**e for e, c in pol), Fraction(0))
+        for j, pol in row.items():
+            dense[j] = sum((c * q0**e for e, c in pol.items()), Fraction(0))
         rows.append(dense)
     rank = 0
     for col in range(ncols):
@@ -254,7 +254,36 @@ def test_integer_oracle_equals_dense_fraction_elimination(alg, cls, parity):
 
 # -- the system row format -------------------------------------------------------
 
-# unique rows at SMALL, s = 0
+
+def _freeze(row):
+    """Canonical form of an integer Laurent row {col: {exp: coeff}}; two rows
+    share it exactly when one is the other times a nonzero rational and a
+    power of q.  It holds (col, ((exp, coeff), ...)) for each entry, sorted
+    at both levels, with integer content 1, lowest exponent 0 and a positive
+    lowest coefficient in its first column."""
+    if len(row) == 1:
+        # a single nonzero coefficient forces its unknown to vanish
+        (j,) = row
+        return ((j, ((0, 1),)),)
+    shift = min(map(min, row.values()))
+    g = 0
+    for pol in row.values():
+        g = math.gcd(g, *pol.values())
+    items = sorted(row.items())
+    first = items[0][1]
+    if first[min(first)] < 0:
+        g = -g
+    return tuple(
+        (j, tuple(sorted((e - shift, c // g) for e, c in pol.items()))) for j, pol in items
+    )
+
+
+def _distinct(sys):
+    """The canonical forms of the system's rows, each once, in row order."""
+    return list(dict.fromkeys(map(_freeze, sys.rows)))
+
+
+# distinct rows at SMALL, s = 0
 ROW_COUNTS = {
     ("w22q", "biderivation"): 1050,
     ("wittq", "biderivation"): 69,
@@ -285,8 +314,15 @@ ROW_COUNTS = {
 def test_system_rows_are_distinct_primitive_integer_tuples(alg, cls, parity, s):
     p = _presentation(alg)
     a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
-    rows = build_system(p, a).rows
-    assert rows
+    sys = build_system(p, a)
+    assert sys.rows
+    for row in sys.rows:
+        assert type(row) is dict and row
+        for j, pol in row.items():
+            assert type(j) is int and 0 <= j < sys.nunknowns
+            assert type(pol) is dict and pol
+            assert all(type(e) is int and type(c) is int and c for e, c in pol.items())
+    rows = _distinct(sys)
     assert len(set(rows)) == len(rows)
     for row in rows:
         assert type(row) is tuple and row
@@ -583,8 +619,8 @@ def test_rows_skip_mirrors_of_a_skew_bracket_declared_both_ways():
 
 
 def _frozen(p, values):
-    entries = {j: v._t for j, v in values.items()} if p.fast_scalars else solver._introw_of(values)
-    return solver._freeze(entries)
+    row = {j: v._t for j, v in values.items()} if p.fast_scalars else solver._introw_of(values)
+    return _freeze(row)
 
 
 @pytest.mark.parametrize("alg", [*BUILTIN_NAMES, *PRESENTATIONS])
@@ -597,7 +633,7 @@ def test_system_rows_are_the_rows_of_every_instance(alg):
         for s in (0,) if p.is_scalar else (-1, 0):
             a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
             expected = {_frozen(p, values) for values in _instance_rows(p, a).values()}
-            assert set(build_system(p, a).rows) == expected
+            assert set(_distinct(build_system(p, a))) == expected
 
 
 # -- stable solving ----------------------------------------------------------------
@@ -609,7 +645,7 @@ def _two_window_stable_basis(p, cls, s, parity, window, delta):
     and reduce.  Returns the restrictions and the canonical basis."""
     small = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window)
     big = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=window.widen(delta))
-    rows = build_system(p, small).rows
+    rows = _distinct(build_system(p, small))
     restricted = [
         {small.index[k]: v for k, v in vec.items()}
         for vec in restrict_space(nullspace(build_system(p, big)), small)
@@ -1046,7 +1082,7 @@ def _eliminated_row_counts(monkeypatch):
 
 
 def _full_elimination(sys):
-    return solver._solve_rows(sys, map(dict, sys.rows))
+    return solver._solve_rows(sys, sys.rows)
 
 
 def _assert_selected_rows_suffice(monkeypatch, p, a):
@@ -1055,14 +1091,14 @@ def _assert_selected_rows_suffice(monkeypatch, p, a):
     space = nullspace(sys)
     # one elimination, of fewer rows than the system has distinct ones: the
     # selected rows passed the exact check against every row
-    assert len(counts) == 1 and counts[0] < len(sys.rows) <= len(sys.entries)
+    assert len(counts) == 1 and counts[0] < len(_distinct(sys)) <= len(sys.rows)
     full = _full_elimination(sys)
     assert counts[0] == len(a) - full.dim
     assert space.dim == full.dim
     assert space == full
     # the basis depends only on the space: neither the row order nor the
     # point that selects the rows changes it
-    assert nullspace(ConstraintSystem(a, sys.entries[::-1])) == full
+    assert nullspace(ConstraintSystem(a, sys.rows[::-1])) == full
     monkeypatch.setattr(solver, "MOD_POINT", 65537)
     assert nullspace(sys) == full
 
@@ -1114,7 +1150,7 @@ def test_row_selection_stops_at_full_rank(monkeypatch, w22q):
     space = nullspace(sys)
     # a vanishing space reaches full rank before its last row, and no row
     # past the last one read is imaged
-    assert len(read) < len(sys.rows)
+    assert len(read) < len(_distinct(sys))
     assert len(imaged) == len(read)
     assert space == _full_elimination(sys)
     assert space.dim == 0
@@ -1133,7 +1169,7 @@ def test_nullspace_at_an_unlucky_point_runs_the_full_elimination(monkeypatch, al
     expected = _full_elimination(sys)
     rank = len(a) - expected.dim
     # q -> 1 mod 2 loses rank, so the selected rows leave too large a space
-    assert len(solver._independent_mod_p(solver._images_mod_p(sys.entries, 2, 1), len(a), 2)) < rank
+    assert len(solver._independent_mod_p(solver._images_mod_p(sys.rows, 2, 1), len(a), 2)) < rank
     monkeypatch.setattr(solver, "MOD_PRIME", 2)
     monkeypatch.setattr(solver, "MOD_POINT", 1)
     counts = _eliminated_row_counts(monkeypatch)
@@ -1145,6 +1181,32 @@ def test_nullspace_at_an_unlucky_point_runs_the_full_elimination(monkeypatch, al
     counts.clear()
     assert nullspace(sys) == expected
     assert counts == [len(sys.rows)]
+
+
+@pytest.mark.parametrize("alg,cls", [
+    ("w22q", "biderivation"),
+    ("wittq", "alpha_biderivation"),
+    ("thirds", "biderivation"),
+])
+def test_duplicate_rows_change_no_answer(monkeypatch, alg, cls):
+    # each row listed again, times -3 q^2: the same space on the selected
+    # rows, on the full elimination, and at a specialized q
+    p = _presentation(alg)
+    a = build_ansatz(p, "bilinear", cls, s=0, window=SMALL)
+    sys = build_system(p, a)
+    scaled = [{j: {e + 2: -3 * c for e, c in pol.items()} for j, pol in row.items()}
+              for row in sys.rows]
+    doubled = ConstraintSystem(a, sys.rows + scaled)
+    expected = nullspace(sys)
+    assert nullspace(doubled) == expected
+    for q0 in (2, 3):
+        assert nullspace_dim_specialized(doubled, q0) == nullspace_dim_specialized(sys, q0)
+    # 14 is 0 mod 7, where q has no image: every row is eliminated
+    monkeypatch.setattr(solver, "MOD_PRIME", 7)
+    monkeypatch.setattr(solver, "MOD_POINT", 14)
+    counts = _eliminated_row_counts(monkeypatch)
+    assert nullspace(doubled) == expected
+    assert counts == [2 * len(sys.rows)]
 
 
 @pytest.mark.parametrize("alg,cls,parity,s", [
@@ -1329,12 +1391,12 @@ def test_exact_check_is_exact_and_needs_unit_denominators(wittq):
     vecs = nullspace(system).id_vectors()
     assert vecs
     for vec in vecs:
-        assert solver._satisfies_all(system.entries, [vec])
+        assert solver._satisfies_all(system.rows, [vec])
         j = next(iter(vec))
         wrong = dict(vec)
         wrong[j] = vec[j] + Q1
-        assert not solver._satisfies_all(system.entries, [wrong])
-    row = next(r for r in system.entries if any(j in vecs[0] for j in r))
+        assert not solver._satisfies_all(system.rows, [wrong])
+    row = next(r for r in system.rows if any(j in vecs[0] for j in r))
     scaled = {j: v / QRational(LaurentPoly({0: 1, 1: 1})) for j, v in vecs[0].items()}
     with pytest.raises(ValueError, match="unit denominator"):
         solver._satisfies_all([row], [scaled])
@@ -1377,7 +1439,7 @@ def test_integer_check_agrees_with_laurent_products(alg, cls, parity, s):
             term = LaurentPoly({rng.randrange(-3, 4): rng.choice((-1, 2, 2**40, -(2**40)))})
             vec[j] = vec.get(j, Q0) + QRational(term)
         vec = {k: v for k, v in vec.items() if not v.is_zero}
-        rows = [r for r in system.entries if j in r] + rng.sample(system.entries, 10)
+        rows = [r for r in system.rows if j in r] + rng.sample(system.rows, 10)
         for row in rows:
             verdict = _laurent_satisfies(row, vec)
             assert solver._satisfies_all([row], [vec]) == verdict
