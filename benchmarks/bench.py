@@ -47,16 +47,12 @@ from homlie.suite import AcceptanceSuite, SuiteConfig
 WINDOW = Window(-6, 6)
 DELTA = 2
 REPEAT = 5
-# the paper's scan as `reproduce-paper` runs it: ((algebra, kind, class,
-# parity, s), k, named maps or None) for each stable solve
-_SPECS = [
-    (key, body[3], body[9])
-    for key, body in AcceptanceSuite(SuiteConfig(window=WINDOW, delta=DELTA))._scan_specs()
-]
+# the paper's scan as `reproduce-paper` runs it, one `ScanTask` per stable solve
+_SPECS = AcceptanceSuite(SuiteConfig(window=WINDOW, delta=DELTA))._scan_specs()
 # the nonzero spaces, the solves with named maps, as (algebra, class, parity, s)
-SPACES = tuple((alg, cls, parity, s) for (alg, _, cls, parity, s), _, named in _SPECS if named)
+SPACES = tuple((t.alg, t.cls, t.parity, t.s) for t in _SPECS if t.knowns)
 # the vanishing windows, as (algebra, kind, class, parity, s, k)
-SCAN = tuple((*key, k) for key, k, named in _SPECS if not named)
+SCAN = tuple((*t.key, t.k) for t in _SPECS if not t.knowns)
 
 
 def _timed(fn):

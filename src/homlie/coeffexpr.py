@@ -22,58 +22,6 @@ from fractions import Fraction
 
 from .qfield import QRational, qbracket, qbrace, qpow
 
-_Q1 = QRational(1)
-
-
-def num(value):
-    return ("num", value)
-
-
-def var(name):
-    if name not in ("m", "n"):
-        raise ValueError(f"unknown degree variable {name!r}")
-    return ("var", name)
-
-
-def affine(cm=0, cn=0, c=0):
-    return (cm, cn, c)
-
-
-def q_to(aff):
-    return ("qpow", aff)
-
-
-def qbr(aff):
-    return ("qbr", aff)
-
-
-def qnm(aff):
-    return ("qnm", aff)
-
-
-def add(a, b):
-    return ("+", a, b)
-
-
-def sub(a, b):
-    return ("-", a, b)
-
-
-def mul(a, b):
-    return ("*", a, b)
-
-
-def div(a, b):
-    return ("/", a, b)
-
-
-def neg(a):
-    return ("neg", a)
-
-
-def pow_(a, k):
-    return ("pow", a, int(k))
-
 
 def _aff_val(aff, m, n):
     cm, cn, c = aff

@@ -9,7 +9,10 @@ or divides an lcm by one of its factors, so by Gauss's lemma its quotient
 has integer coefficients.  The module also provides the two q-number
 families used by the q-deformed graded algebras (`qbracket` for the
 symmetric one, `qbrace` for the geometric one) and exact evaluation at
-rational points of q.
+rational points of q.  It is the one module that computes on bare term
+dicts {exp: coeff}, the integer Laurent polynomials of the solver's rows:
+`terms_mul` is their product (and the body of `LaurentPoly.__mul__`), and
+`primitive_part` divides several of them by their common factor.
 
 The unit denominator is the single object `_P1`: every value whose
 denominator is 1 holds that object, so `__add__` and `__mul__` can test
@@ -153,30 +156,12 @@ class LaurentPoly:
             if other == 1:
                 return self
             return LaurentPoly._raw({e: c * other for e, c in self._t.items()})
-        a, b = self._t, other._t
-        if not a or not b:
-            return _P0
-        b_owner = other
-        if len(a) > len(b):
-            a, b = b, a
-            b_owner = self
-        if len(a) == 1:
-            (e1, c1), = a.items()
-            if c1 == 1:
-                if e1 == 0:
-                    return b_owner
-                return LaurentPoly._raw({e + e1: c for e, c in b.items()})
-            return LaurentPoly._raw({e + e1: c1 * c for e, c in b.items()})
-        t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                c0 = t.get(e)
-                if c0 is None:
-                    t[e] = c1 * c2
-                else:
-                    t[e] = c0 + c1 * c2
-        return LaurentPoly._raw({e: c for e, c in t.items() if c})
+        # a unit factor returns the other operand itself, `_P1` included
+        if self._t == _UNIT:
+            return other
+        if other._t == _UNIT:
+            return self
+        return LaurentPoly._raw(terms_mul(self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -269,18 +254,53 @@ def _poly_str(p):
     return " ".join(parts)
 
 
-# -- polynomial helpers (nonnegative exponents) --------------------------
+# -- term-dict arithmetic --------------------------------------------------
+#
+# A term dict {exp: coeff} holds the nonzero integer coefficients of a Laurent
+# polynomial.  These functions are the one place that computes on them: the
+# product, the gcd over Q[q] and the primitive part.  They read their inputs
+# and return fresh dicts, so inputs may be shared, e.g. with the term dicts of
+# `LaurentPoly` values.  The gcd works on dense coefficient lists,
+# constant term first, with the lowest power of q taken out (`_dense`).
+
+_UNIT = {0: 1}
 
 
-def _to_dense(p):
-    out = [0] * (p.max_exp + 1)
-    for e, c in p.items():
-        out[e] = c
-    return out
+def terms_mul(a, b):
+    """The product of two term dicts, as a new dict."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        if c1 == 1:
+            return {e + e1: c for e, c in b.items()}
+        return {e + e1: c1 * c for e, c in b.items()}
+    t = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c0 = t.get(e)
+            if c0 is None:
+                t[e] = c1 * c2
+            else:
+                t[e] = c0 + c1 * c2
+    return {e: c for e, c in t.items() if c}
 
 
-def _from_dense(dense):
-    return LaurentPoly({e: c for e, c in enumerate(dense)})
+def _dense(terms):
+    """(lowest exponent, coefficients from it up) of a nonzero term dict."""
+    lo = min(terms)
+    out = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
+        out[e - lo] = c
+    return lo, out
+
+
+def _terms(lo, dense):
+    """The term dict of q^lo times the dense list."""
+    return {lo + i: c for i, c in enumerate(dense) if c}
 
 
 def _strip(v):
@@ -335,6 +355,17 @@ def _int_gcd(x, y):
     return [1]
 
 
+def _dense_gcd(denses):
+    """Gcd over Q[q] of nonempty stripped integer lists, primitive with a
+    positive leading coefficient; it stops at [1] as soon as it gets there."""
+    g = None
+    for d in denses:
+        g = _int_primitive(d) if g is None else _int_gcd(g, d)
+        if len(g) == 1:
+            break
+    return g
+
+
 def _int_divexact(x, y):
     """Quotient of integer lists x / y, y stripped.  Raises ValueError when
     y does not divide x in Z[q]."""
@@ -361,19 +392,40 @@ def _int_divexact(x, y):
     return quot
 
 
-def poly_gcd(a, b):
-    """Gcd over Q[q] of two Laurent polynomials, up to units.
+def primitive_part(polys):
+    """The primitive part of nonzero term dicts {key: terms}, as new dicts.
+
+    Their gcd over Q[q], the largest power of q that divides all of them and
+    their integer content are removed, and the sign is chosen so that the
+    entry of the smallest key has a positive lowest coefficient.  Inputs on
+    one line over Q(q) give the same result.
+    """
+    dense = {k: _dense(t) for k, t in polys.items()}
+    g = _dense_gcd(d for _, d in dense.values())
+    if len(g) > 1:
+        dense = {k: (lo, _int_divexact(d, g)) for k, (lo, d) in dense.items()}
+    shift = min(lo for lo, _ in dense.values())
+    ic = 0
+    for _, d in dense.values():
+        ic = _igcd(ic, *d)
+    if dense[min(dense)][1][0] < 0:
+        ic = -ic
+    return {k: {lo - shift + i: c // ic for i, c in enumerate(d) if c}
+            for k, (lo, d) in dense.items()}
+
+
+def poly_gcd(*polys):
+    """Gcd over Q[q] of Laurent polynomials, up to units.
 
     The result is a primitive integer polynomial with nonzero constant term
-    and positive lowest coefficient.
+    and positive lowest coefficient; it is 0 when every input is.
     """
-    dense = [_to_dense(p.shift(-p.min_exp)) for p in (a, b) if p]
-    if not dense:
+    g = _dense_gcd(_dense(p._t)[1] for p in polys if p)
+    if g is None:
         return _P0
-    g = _int_gcd(*dense) if len(dense) == 2 else _int_primitive(dense[0])
     if g[0] < 0:
         g = [-c for c in g]
-    return _from_dense(g)
+    return LaurentPoly._raw(_terms(0, g))
 
 
 def poly_divexact(a, b):
@@ -382,9 +434,8 @@ def poly_divexact(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return _P0
-    sa, sb = a.min_exp, b.min_exp
-    quot = _int_divexact(_to_dense(a.shift(-sa)), _to_dense(b.shift(-sb)))
-    return _from_dense(quot).shift(sa - sb)
+    (la, da), (lb, db) = _dense(a._t), _dense(b._t)
+    return LaurentPoly._raw(_terms(la - lb, _int_divexact(da, db)))
 
 
 # -- the field -----------------------------------------------------------

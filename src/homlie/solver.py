@@ -10,12 +10,13 @@ integer Laurent polynomials; any other, rational constants included, gives
 Q(q) rows whose denominators are cleared; `_rules` gives the constants in
 each ring, once per presentation.  `build_system` keeps each row as these
 integer Laurent entries, {col: {exp: coeff}}, as they are generated.
-The system is solved exactly: rows are reduced by fraction-free elimination
-with per-row content removal, and the nullspace basis is produced by
-back-substitution.  Every basis the solver returns is then brought to one
-form, the reduced echelon form over slot order (`_canonical_basis`), so it
-depends only on the space: not on the row order, the pivots or the rows
-that were eliminated.
+The system is solved exactly: rows are reduced by fraction-free elimination,
+each row divided by the common factor of its entries (`qfield.primitive_part`,
+whose gcd over Q[q] keeps the entries' degrees down), and the nullspace basis
+is produced by back-substitution.  Every basis the solver returns is then
+brought to one form, the reduced echelon form over slot order
+(`_canonical_basis`), so it depends only on the space: not on the row order,
+the pivots or the rows that were eliminated.
 
 Most identity instances have a mirror: the instance with two inputs
 swapped, whose rows are the instance's times a sign, so that they add
@@ -75,11 +76,10 @@ from .qfield import (
     ForbiddenSpecialization,
     LaurentPoly,
     QRational,
-    _int_divexact,
-    _int_gcd,
-    _int_primitive,
     poly_divexact,
     poly_gcd,
+    primitive_part,
+    terms_mul,
 )
 
 Q0 = QRational(0)
@@ -750,102 +750,15 @@ def _introw_of(values):
     return entries
 
 
-# dense integer polynomial rows: {col: (lowest exponent, coefficient list)}
-
-
-def _dense_of(pol):
-    lo = min(pol)
-    out = [0] * (max(pol) - lo + 1)
-    for e, c in pol.items():
-        out[e - lo] = c
-    return lo, out
-
-
-def _dense_eval_at(d, x):
-    acc = 0
-    for c in reversed(d):
-        acc = acc * x + c
-    return acc
-
-
-def _strip_common_factor(dense):
-    """Divide the entries of a dense row by their gcd."""
-    g = None
-    for _, d in dense.values():
-        g = _int_primitive(d) if g is None else _int_gcd(g, d)
-        if len(g) == 1:
-            return dense
-    return {j: (lo, _int_divexact(d, g)) for j, (lo, d) in dense.items()}
-
-
-def _strip_poly_content(dense):
-    """`_strip_common_factor`, skipped when the entries' values at q = 2 or at
-    q = 3, each divided by its integer content, are coprime.
-
-    The skip is a cheap filter for elimination rows, where a factor left in
-    costs only time.  It misses a common factor whose value at 2 or 3 is
-    +-1, such as q - 1, so canonical vectors strip with
-    `_strip_common_factor` itself.
-    """
-    probe2 = 0
-    probe3 = 0
-    for _, d in dense.values():
-        if probe2 == 1 or probe3 == 1:
-            return dense
-        cj = 0
-        for c in d:
-            if c:
-                cj = _igcd(cj, c)
-        probe2 = _igcd(probe2, _dense_eval_at(d, 2) // cj)
-        probe3 = _igcd(probe3, _dense_eval_at(d, 3) // cj)
-    return _strip_common_factor(dense)
-
-
-def _normalize_row(entries, strip=_strip_poly_content):
-    """Divide by common polynomial/monomial/integer content; fix the sign.
-
-    `strip` removes the polynomial content of the dense entries; the sign
-    makes the lowest coefficient of the first column positive.
-    """
+def _normalize_row(entries):
+    """The `primitive_part` of a row: its polynomial, monomial and integer
+    content removed and the lowest coefficient of its first column made
+    positive."""
     if len(entries) == 1:
         # a single nonzero coefficient forces its unknown to vanish
         (j,) = entries
         return {j: {0: 1}}
-    dense = {}
-    for j, pol in entries.items():
-        dense[j] = _dense_of(pol)
-    dense = strip(dense)
-    shift = min(lo for lo, _ in dense.values())
-    ic = 0
-    for _, d in dense.values():
-        for c in d:
-            ic = _igcd(ic, c)
-    lo0, d0 = dense[min(dense)]
-    for c in d0:
-        if c:
-            if c < 0:
-                ic = -ic
-            break
-    out = {}
-    for j, (lo, d) in dense.items():
-        base = lo - shift
-        out[j] = {base + i: c // ic for i, c in enumerate(d) if c}
-    return out
-
-
-def _pmul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+    return primitive_part(entries)
 
 
 def _combine(piv, row, c, prow, skipcol):
@@ -853,11 +766,11 @@ def _combine(piv, row, c, prow, skipcol):
     out = {}
     for j, pj in row.items():
         if j != skipcol:
-            out[j] = _pmul(piv, pj)
+            out[j] = terms_mul(piv, pj)
     for j, pj in prow.items():
         if j == skipcol:
             continue
-        t = _pmul(c, pj)
+        t = terms_mul(c, pj)
         cur = out.get(j)
         if cur is None:
             out[j] = {e: -v for e, v in t.items()}
@@ -876,9 +789,10 @@ def _combine(piv, row, c, prow, skipcol):
 def _eliminate(rows):
     """Sparse fraction-free elimination.
 
-    rows: list of integer Laurent rows (dict col -> dict exp -> int), taken
-    over and changed in place; each row that outlives the zero cascade is
-    normalized by `_normalize_row`.
+    rows: list of integer Laurent rows (dict col -> dict exp -> int); the
+    row dicts are taken over and changed in place, their term dicts only
+    read.  Each row that outlives the zero cascade is normalized by
+    `_normalize_row`.
     Returns (pivots, zeros): pivots in elimination order as (col, row) with
     the row frozen at selection time; zeros are columns forced to vanish by
     single-entry rows.
@@ -930,25 +844,16 @@ def _eliminate(rows):
         drain_singletons()
         if not active:
             break
-        # smallest remaining coefficient becomes the pivot
-        entry = None
-        while heap:
-            nt, span, i, j = heapq.heappop(heap)
-            r = active.get(i)
+        # smallest remaining coefficient becomes the pivot; each active row
+        # has two or more entries here, and each has a current heap entry
+        while True:
+            nt, span, pi, pj = heapq.heappop(heap)
+            r = active.get(pi)
             if r is None:
                 continue
-            pol = r.get(j)
-            if pol is None or len(pol) != nt or max(pol) - min(pol) != span:
-                continue
-            entry = (i, j)
-            break
-        if entry is None:
-            # heap exhausted by stale entries; refill from live rows
-            for i in sorted(active):
-                for j, pol in active[i].items():
-                    heapq.heappush(heap, (len(pol), max(pol) - min(pol), i, j))
-            continue
-        pi, pj = entry
+            pol = r.get(pj)
+            if pol is not None and len(pol) == nt and max(pol) - min(pol) == span:
+                break
         prow = active.pop(pi)
         for jj in prow:
             s = colindex.get(jj)
@@ -1024,9 +929,8 @@ class SolutionSpace:
 
 
 def _vec_canonical(ansatz, vec):
-    """The primitive integer multiple of a slot vector: its polynomial,
-    monomial and integer content removed and its sign fixed as in
-    `_normalize_row`, so vectors on one line over Q(q) give the same dict."""
+    """The primitive integer multiple of a slot vector, its `primitive_part`,
+    so vectors on one line over Q(q) give the same dict."""
     if not vec:
         return {}
     index = ansatz.index
@@ -1034,7 +938,7 @@ def _vec_canonical(ansatz, vec):
     slots = ansatz.slots
     return {
         slots[j]: QRational._trusted(LaurentPoly._raw(pol), _P1)
-        for j, pol in _normalize_row(row, _strip_common_factor).items()
+        for j, pol in primitive_part(row).items()
     }
 
 
@@ -1083,9 +987,9 @@ def _solve_rows(sys, rows):
     """Basis of the space cut out by `rows`, rows of `sys` as mappings
     {col: {exp: coeff}}."""
     ansatz = sys.ansatz
-    # `_eliminate` changes its rows in place, and system rows share their
-    # term dicts with the structure-constant tables
-    pivots, zeros = _eliminate([{j: dict(pol) for j, pol in row.items()} for row in rows])
+    # `_eliminate` pops entries from its row dicts, so it gets copies of
+    # them; it changes no term dict, and those stay shared
+    pivots, zeros = _eliminate([dict(row) for row in rows])
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
     free = [j for j in range(ncols) if j not in determined]
@@ -1099,9 +1003,9 @@ def _solve_rows(sys, rows):
                     continue
                 v = vec.get(j)
                 if v is not None:
-                    acc = acc + QRational._trusted(LaurentPoly._raw(dict(pol)), _P1) * v
+                    acc = acc + QRational._trusted(LaurentPoly._raw(pol), _P1) * v
             if not acc.is_zero:
-                vec[col] = -acc / QRational._trusted(LaurentPoly._raw(dict(prow[col])), _P1)
+                vec[col] = -acc / QRational._trusted(LaurentPoly._raw(prow[col]), _P1)
         vecs.append(vec)
     return SolutionSpace(ansatz, _canonical_basis(ansatz, vecs), _system=sys)
 

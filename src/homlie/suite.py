@@ -13,7 +13,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .algebra import Vector, Window, builtin
 from .checker import (
@@ -130,33 +130,46 @@ def _expected_commuting(p, parity):
 # -- parallel scan machinery -------------------------------------------------
 
 
+class ScanTask(NamedTuple):
+    """One stable solve of the scan.  `knowns` are the named maps the space
+    is decomposed against, or None."""
+
+    alg: str
+    kind: str
+    cls: str
+    parity: int
+    s: int
+    k: int
+    window: Window
+    delta: int
+    knowns: Optional[tuple]
+
+    @property
+    def key(self):
+        return (self.alg, self.kind, self.cls, self.parity, self.s)
+
+
 def _scan_task(task):
     """Worker: one stable solve plus its bookkeeping; returns plain data."""
-    (tid, alg, kind, cls, k, s, parity, lo, hi, delta, knowns, roundtrip) = task
-    p = builtin(alg)
-    window = Window(lo, hi)
-    space = stable_solve(
-        p, kind, cls, s=s, parity=parity, window=window, delta=delta, k=k
-    )
+    p = builtin(task.alg)
+    space = stable_solve(p, task.kind, task.cls, s=task.s, parity=task.parity,
+                         window=task.window, delta=task.delta, k=task.k)
     out = {
-        "id": tid,
+        "id": task.key,
         "dim": space.dim,
-        "raw_window_dim": space.raw_window_dim,
-        "raw_enlarged_dim": space.raw_enlarged_dim,
         "roundtrip_total": 0,
         "roundtrip_passed": 0,
         "residual": None,
     }
-    if roundtrip and space.dim:
-        for concrete in space.maps():
-            if kind == "bilinear":
-                rep = check_bilinear_class(p, concrete, cls, window)
-            else:
-                rep = check_linear_class(p, concrete, cls, window, k=k)
-            out["roundtrip_total"] += 1
-            out["roundtrip_passed"] += int(rep.passed)
-    if knowns and space.dim:
-        maps = {name: known_map(name, p) for name in knowns}
+    for concrete in space.maps():
+        if task.kind == "bilinear":
+            rep = check_bilinear_class(p, concrete, task.cls, task.window)
+        else:
+            rep = check_linear_class(p, concrete, task.cls, task.window, k=task.k)
+        out["roundtrip_total"] += 1
+        out["roundtrip_passed"] += int(rep.passed)
+    if task.knowns and space.dim:
+        maps = {name: known_map(name, p) for name in task.knowns}
         out["residual"] = decompose(space, maps).residual_dim
     return out
 
@@ -190,11 +203,7 @@ class AcceptanceSuite:
         def add(alg, kind, cls, parity, knowns_at=None, k=1):
             for s in degrees:
                 knowns = knowns_at.get(s) if knowns_at else None
-                specs.append((
-                    (alg, kind, cls, parity, s),
-                    (alg, kind, cls, k, s, parity, w.lo, w.hi, self.cfg.delta,
-                     knowns, True),
-                ))
+                specs.append(ScanTask(alg, kind, cls, parity, s, k, w, self.cfg.delta, knowns))
 
         for alg, parity in PAPER_MAPS:
             p = builtin(alg)
@@ -207,12 +216,12 @@ class AcceptanceSuite:
     def scans(self):
         if self._scans is None:
             specs = self._scan_specs()
-            # the tasks with named maps (t[10]), the nonzero spaces and the
-            # longest solves, first, so that none starts last on a worker
-            tasks = sorted(((key, *body) for key, body in specs), key=lambda t: not t[10])
+            # the tasks with named maps, the nonzero spaces and the longest
+            # solves, first, so that none starts last on a worker
+            tasks = sorted(specs, key=lambda t: not t.knowns)
             self.log(f"running {len(tasks)} stable scans (threads={self.threads})")
             results = _run_scan_tasks(tasks, self.threads)
-            self._scans = {key: results[key] for key, _ in specs}
+            self._scans = {t.key: results[t.key] for t in specs}
         return self._scans
 
     def _scan(self, alg, kind, cls, parity, s):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import coeffexpr as ce
 from homlie.algebra import (
     AlgebraPresentation,
     AlphaRule,
@@ -54,8 +53,8 @@ def test_builtin_twists_not_multiplicative(name):
 def _perturbed_w22q():
     # bracket coefficient changed to [n-m] + 1: no longer satisfies the
     # twisted Jacobi identity
-    coeff = ce.add(ce.qbr(ce.affine(cm=-1, cn=1)), ce.num(1))
-    alpha = ce.add(ce.q_to(ce.affine(cm=1)), ce.q_to(ce.affine(cm=-1)))
+    coeff = ("+", ("qbr", (-1, 1, 0)), ("num", 1))
+    alpha = ("+", ("qpow", (1, 0, 0)), ("qpow", (-1, 0, 0)))
     return AlgebraPresentation(
         "perturbed", "lie",
         [Family("L", 0, "all"), Family("W", 0, "all")],
@@ -86,10 +85,10 @@ def test_identity_twist_on_geometric_bracket():
     # same bracket as the one-family deformation but alpha = id: the twisted
     # Jacobi identity fails while multiplicativity holds trivially
     src_rules = {("L", "L"): [BracketTerm(
-        ce.sub(ce.qnm(ce.affine(cn=1)), ce.qnm(ce.affine(cm=1))), "L", 0)]}
+        ("-", ("qnm", (0, 1, 0)), ("qnm", (1, 0, 0))), "L", 0)]}
     p = AlgebraPresentation(
         "idtwist", "lie", [Family("L", 0, "all")], src_rules,
-        {"L": AlphaRule(ce.num(1), "L")},
+        {"L": AlphaRule(("num", 1), "L")},
     )
     assert check_multiplicative(p, Window(-3, 3)).passed
     assert not check_axioms(p, Window(-3, 3)).passed

@@ -180,13 +180,13 @@ def test_finite_degree_list_round_trip():
 
 
 @pytest.mark.parametrize("expr", [
-    ce.qbr(ce.affine(cm=-1, cn=1)),
-    ce.sub(ce.qnm(ce.affine(cn=1)), ce.qnm(ce.affine(cm=1))),
-    ce.add(ce.num(1), ce.q_to(ce.affine(cm=1, c=1))),
-    ce.mul(ce.num(-2), ce.q_to(ce.affine(c=3))),
-    ce.div(ce.sub(ce.num(1), ce.q_to(ce.affine(c=3))), ce.sub(ce.num(1), ("q",))),
-    ce.pow_(ce.add(ce.num(1), ("q",)), 2),
-    ce.neg(ce.var("m")),
+    ("qbr", (-1, 1, 0)),
+    ("-", ("qnm", (0, 1, 0)), ("qnm", (1, 0, 0))),
+    ("+", ("num", 1), ("qpow", (1, 0, 1))),
+    ("*", ("num", -2), ("qpow", (0, 0, 3))),
+    ("/", ("-", ("num", 1), ("qpow", (0, 0, 3))), ("-", ("num", 1), ("q",))),
+    ("pow", ("+", ("num", 1), ("q",)), 2),
+    ("neg", ("var", "m")),
 ])
 def test_render_evaluate_round_trip(expr):
     # rendering then parsing through a bracket statement preserves values

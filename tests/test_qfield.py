@@ -1,5 +1,7 @@
+import math
 import pickle
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from homlie.qfield import (
     QRational,
     poly_divexact,
     poly_gcd,
+    primitive_part,
     qbracket,
     qbrace,
     qpow,
@@ -103,6 +106,55 @@ def test_divexact_rejects_nondivisor():
     # q + 1 divides 2q + 2 over Q[q], with the quotient 1/2 outside Z[q]
     with pytest.raises(ValueError):
         poly_divexact(LaurentPoly({1: 1, 0: 1}), LaurentPoly({1: 2, 0: 2}))
+
+
+# -- term dicts -----------------------------------------------------------------
+
+
+def nonzero_laurents(max_terms=4):
+    return laurents(max_terms).filter(bool)
+
+
+@given(st.one_of(laurents(), st.just(LaurentPoly({0: 1}))),
+       st.one_of(laurents(), st.just(LaurentPoly({0: 1}))))
+@settings(max_examples=80, deadline=None)
+def test_terms_mul_is_the_polynomial_product(a, b):
+    t = qfield.terms_mul(a._t, b._t)
+    assert t == (a * b)._t
+    assert t is not a._t and t is not b._t
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=6), nonzero_laurents(),
+                       min_size=1, max_size=4),
+       nonzero_laurents(3))
+@settings(max_examples=80, deadline=None)
+def test_primitive_part_removes_one_common_factor(polys, h):
+    terms = {k: p._t for k, p in polys.items()}
+    planted = {k: qfield.terms_mul(t, h._t) for k, t in terms.items()}
+    snapshot = {k: dict(t) for k, t in planted.items()}
+    parts = primitive_part(terms)
+    # a planted common factor changes nothing, and the inputs stay as they are
+    assert primitive_part(planted) == parts
+    assert planted == snapshot
+    assert parts.keys() == terms.keys()
+    first = min(parts)
+    for inputs in (terms, planted):
+        factor = poly_divexact(LaurentPoly(inputs[first]), LaurentPoly(parts[first]))
+        for k, t in inputs.items():
+            assert factor * LaurentPoly(parts[k]) == LaurentPoly(t)
+    # what is left has no common factor, no common power of q, content 1
+    # and a positive lowest coefficient in its first entry
+    left = [LaurentPoly(t) for t in parts.values()]
+    assert poly_gcd(*left) == LaurentPoly({0: 1})
+    assert min(p.min_exp for p in left) == 0
+    assert math.gcd(*(p.content() for p in left)) == 1
+    assert parts[first][min(parts[first])] > 0
+
+
+@given(st.lists(laurents(), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_n_ary_gcd_is_the_pairwise_fold(polys):
+    assert poly_gcd(*polys) == reduce(poly_gcd, polys, LaurentPoly({}))
 
 
 # -- field arithmetic ----------------------------------------------------------

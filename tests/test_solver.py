@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -11,9 +12,10 @@ from homlie.algebra import BUILTIN_NAMES, Window, builtin
 from homlie.checker import (
     _wrap_map,
     check_bilinear_class,
+    check_bilinear_skew,
     check_linear_class,
 )
-from homlie.classify import known_map
+from homlie.classify import decompose, known_map
 from homlie.dsl import parse
 from homlie.identities import (
     BILINEAR_CLASSES,
@@ -436,10 +438,40 @@ TWOWAY = CLASHING.replace("clashing", "twoway").replace(
 
 NOT_SKEW = ("lopsided", "split", "clashing", "oddclash", "outer")
 
+# classical (q-free) algebras with the identity twist, whose rows have
+# constant integer entries: the Witt algebra, W(2,2) and the centerless twisted
+# Heisenberg-Virasoro algebra
+WITT = """algebra witt;
+mode lie;
+family L parity 0 degrees int;
+bracket [L(m), L(n)] = (n - m) * L(m+n);
+alpha L(m) = (1) * L(m);
+"""
+
+W22 = """algebra w22;
+mode lie;
+family L parity 0 degrees int;
+family W parity 0 degrees int;
+bracket [L(m), L(n)] = (n - m) * L(m+n);
+bracket [L(m), W(n)] = (n - m) * W(m+n);
+alpha L(m) = (1) * L(m);
+alpha W(m) = (1) * W(m);
+"""
+
+HV = """algebra hv;
+mode lie;
+family L parity 0 degrees int;
+family I parity 0 degrees int;
+bracket [L(m), L(n)] = (n - m) * L(m+n);
+bracket [L(m), I(n)] = (n) * I(m+n);
+alpha L(m) = (1) * L(m);
+alpha I(m) = (1) * I(m);
+"""
+
 PRESENTATIONS = {
     "wz": WZ, "qplus5": QPLUS5, "thirds": THIRDS, "finite": FINITE,
     "lopsided": LOPSIDED, "split": SPLIT, "clashing": CLASHING, "oddclash": ODDCLASH, "outer": OUTER,
-    "twoway": TWOWAY,
+    "twoway": TWOWAY, "witt": WITT, "w22": W22, "hv": HV,
 }
 
 
@@ -1209,6 +1241,30 @@ def test_duplicate_rows_change_no_answer(monkeypatch, alg, cls):
     assert counts == [2 * len(sys.rows)]
 
 
+@pytest.mark.parametrize("alg,cls", [
+    ("w22q", "biderivation"),
+    ("thirds", "biderivation"),
+    ("hv", "biderivation"),
+])
+def test_nullspace_changes_no_term_dict(monkeypatch, alg, cls):
+    # system rows are read, never changed: they share their term dicts with
+    # the structure-constant tables, and elimination copies only the rows
+    p = _presentation(alg)
+    a = build_ansatz(p, "bilinear", cls, s=0, window=SMALL)
+    sys = build_system(p, a)
+    snapshot = copy.deepcopy(sys.rows)
+    counts = _eliminated_row_counts(monkeypatch)
+    expected = nullspace(sys)
+    assert len(counts) == 1 and counts[0] < len(sys.rows)
+    assert sys.rows == snapshot
+    # 14 is 0 mod 7, where q has no image: every row is eliminated
+    monkeypatch.setattr(solver, "MOD_PRIME", 7)
+    monkeypatch.setattr(solver, "MOD_POINT", 14)
+    assert nullspace(sys) == expected
+    assert counts[1:] == [len(sys.rows)]
+    assert sys.rows == snapshot
+
+
 @pytest.mark.parametrize("alg,cls,parity,s", [
     ("wittq", "biderivation", 0, 0),
     ("wittq", "alpha_biderivation", 0, 0),
@@ -1348,28 +1404,77 @@ def test_scalar_presentation_solve(example49):
         assert check_bilinear_class(p, concrete, "alpha_super_biderivation", win).passed
 
 
+# -- classical (q-free) algebras ---------------------------------------------------
+
+# stable biderivation dims at s = -1, 0, 1 on SMALL, and the PAPER.md keys
+# they stand for: the Witt algebra's biderivations are inner
+# (\cite{Chen2016,wang2013,HWX}); those of W(2,2) are not all inner, but all
+# skew-symmetric in the sense of \cite{B4}; the twisted Heisenberg-Virasoro
+# algebra has biderivations that are not skew (\cite{Tang-Li2018})
+Q_FREE_DIMS = {
+    "witt": ((0, 1, 0), "Chen2016,wang2013,HWX"),
+    "w22": ((0, 2, 0), "B4"),
+    "hv": ((1, 2, 1), "Tang-Li2018"),
+}
+
+
+def _q_free_space(alg, s):
+    return stable_solve(_presentation(alg), "bilinear", "biderivation", s=s, window=SMALL)
+
+
+@pytest.mark.parametrize("alg", Q_FREE_DIMS)
+def test_q_free_biderivation_dims(alg):
+    dims, key = Q_FREE_DIMS[alg]
+    assert tuple(_q_free_space(alg, s).dim for s in (-1, 0, 1)) == dims, key
+
+
+@pytest.mark.parametrize("alg,knowns,residual", [
+    ("witt", ("phi_ad",), 0),
+    ("w22", ("phi_ad", "phi_0"), 0),
+    ("hv", ("phi_ad",), 1),
+])
+def test_q_free_biderivations_against_the_named_maps(alg, knowns, residual):
+    space = _q_free_space(alg, 0)
+    p = space.ansatz.p
+    assert decompose(space, {name: known_map(name, p) for name in knowns}).residual_dim == residual
+
+
+def test_q_free_skew_split():
+    # W(2,2)'s biderivations are skew; hv has one non-skew basis map at
+    # s = 0, and at s = -1 and 1 every basis map is non-skew
+    for alg, s, failing in (("witt", 0, 0), ("w22", 0, 0), ("hv", 0, 1), ("hv", -1, 1),
+                            ("hv", 1, 1)):
+        space = _q_free_space(alg, s)
+        p = space.ansatz.p
+        verdicts = [check_bilinear_skew(p, phi, SMALL).passed for phi in space.maps()]
+        assert verdicts.count(False) == failing, (alg, s)
+
+
 # -- row and vector normalization ---------------------------------------------------
 
 
 def test_normalize_row_strips_a_planted_factor():
     # three entries with no common factor, then each times (1 + q + q^2)(1 - q)
     plain = {0: {0: 1, 1: 2}, 1: {0: 3, 1: -1, 3: 1}, 2: {-1: 2, 1: 1}}
-    factor = solver._pmul({0: 1, 1: 1, 2: 1}, {0: 1, 1: -1})
-    planted = {j: solver._pmul(pol, factor) for j, pol in plain.items()}
+    factor = qfield.terms_mul({0: 1, 1: 1, 2: 1}, {0: 1, 1: -1})
+    planted = {j: qfield.terms_mul(pol, factor) for j, pol in plain.items()}
     expected = {0: {1: 1, 2: 2}, 1: {1: 3, 2: -1, 4: 1}, 2: {0: 2, 2: 1}}
-    assert solver._normalize_row(planted) == expected
-    assert solver._normalize_row(plain) == expected
+    for row in (planted, plain):
+        assert qfield.primitive_part(row) == expected
+        assert solver._normalize_row(row) == expected
 
 
 def test_normalize_row_keeps_coprime_entries_with_common_values():
     # q + 1 and q^2 + 5 are coprime, but their values share 3 at q = 2 and 2 at q = 3
     row = {0: {0: 1, 1: 1}, 1: {0: 5, 2: 1}}
+    assert qfield.primitive_part(row) == row
     assert solver._normalize_row(row) == row
 
 
 @pytest.mark.parametrize("num,den", [
     pytest.param({0: -1, 2: -1}, {0: 3, 1: 2}, id="-(q2+1)_over_(2q+3)"),
-    # q - 1 is 1 at q = 2, so the probe in `_normalize_row` would keep it
+    # q - 1 is 1 at q = 2, so a common-factor test by values at q = 2
+    # would miss it; the canonical form removes it
     pytest.param({0: -1, 1: 1}, {0: 2, 1: 1}, id="(q-1)_over_(q+2)"),
 ])
 @pytest.mark.parametrize("alg,cls,s,parity", [
@@ -1409,7 +1514,7 @@ def _laurent_satisfies(row, vec):
     for j, pol in row.items():
         v = vec.get(j)
         if v is not None:
-            for e, x in solver._pmul(pol, v.num._t).items():
+            for e, x in qfield.terms_mul(pol, v.num._t).items():
                 acc[e] = acc.get(e, 0) + x
     return not any(acc.values())
 
@@ -1463,7 +1568,7 @@ def test_integer_check_sees_a_large_coefficient():
     # so only a B past its coefficients' size sees that it is not 0
     roots = {0: 1}
     for k in range(1, 41):
-        roots = solver._pmul(roots, {0: -(2**k), 1: 1})
+        roots = qfield.terms_mul(roots, {0: -(2**k), 1: 1})
     assert not solver._satisfies_all([{0: roots}], [{0: Q1}])
     head = {e: c for e, c in roots.items() if e < 40}
     assert not solver._satisfies_all([{0: head, 1: {40: 1}}], [{0: Q1, 1: Q1}])
