@@ -11,7 +11,9 @@ and `nullspace` on the window, then `stable_solve` with its enlarged window
 `stable_solve` on the vanishing windows at the same window, and counts the
 spaces the mod-p certificate proved 0.  A third section times the checker at the same
 window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
-against its class, and `check_axioms` on each built-in.  Everything runs
+against its class, `check_linear_class` of each `classify.COMMUTING_MAPS`
+member as a commuting map on each built-in that has its families, and
+`check_axioms` on each built-in.  Everything runs
 serially in one process.  Each stage of the first section, the second
 section as a whole and each check of the third section are timed five
 times, and the median and quartiles are kept.  The result, with the
@@ -38,9 +40,9 @@ import sys
 import time
 from pathlib import Path
 
-from homlie.algebra import BUILTIN_NAMES, Window, builtin
-from homlie.checker import check_axioms, check_bilinear_class
-from homlie.classify import PAPER_MAPS, known_map
+from homlie.algebra import BUILTIN_NAMES, UnknownGenerator, Window, builtin
+from homlie.checker import check_axioms, check_bilinear_class, check_linear_class
+from homlie.classify import COMMUTING_MAPS, PAPER_MAPS, commuting_map, known_map
 from homlie.solver import build_ansatz, build_system, nullspace, stable_solve
 from homlie.suite import AcceptanceSuite, SuiteConfig
 
@@ -132,7 +134,8 @@ def bench_vanishing():
 
 def bench_checker():
     """The checker's seconds per check: each named map of PAPER_MAPS against
-    its class, then the axioms of each built-in, REPEAT times each."""
+    its class, each commuting map of COMMUTING_MAPS on each built-in with
+    its families, then the axioms of each built-in, REPEAT times each."""
     checks = []
     for (alg, parity), names in PAPER_MAPS.items():
         p = builtin(alg)
@@ -143,6 +146,18 @@ def bench_checker():
                 {"check": "check_bilinear_class", "algebra": alg, "map": name,
                  "class": cls},
                 lambda p=p, phi=phi, cls=cls: check_bilinear_class(p, phi, cls, WINDOW),
+            ))
+    for alg in BUILTIN_NAMES:
+        p = builtin(alg)
+        for name in COMMUTING_MAPS:
+            try:
+                f = commuting_map(name, p)
+            except UnknownGenerator:
+                continue  # p lacks the map's source or target family
+            checks.append((
+                {"check": "check_linear_class", "algebra": alg, "map": name,
+                 "class": "commuting_map"},
+                lambda p=p, f=f: check_linear_class(p, f, "commuting_map", WINDOW),
             ))
     for alg in BUILTIN_NAMES:
         checks.append((

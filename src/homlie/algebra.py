@@ -22,7 +22,8 @@ Q0 = QRational(0)
 Q1 = QRational(1)
 
 
-# -- term dicts: generator -> nonzero coefficient in a field, so a product
+# -- term dicts: generator -> nonzero coefficient in a ring without zero
+# divisors, a QRational in Q(q) or a qfield.Packed in Z[q, 1/q], so a product
 # of two coefficients is never zero and only sums are tested for zero
 
 

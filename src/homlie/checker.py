@@ -4,8 +4,16 @@ over a truncation window.
 Each check runs an instance stream of `identities`, which evaluates through
 the extension kernel of `algebra` and makes every map value, twist and
 generator bracket once per check; the map under test enters it as a
-generator rule (`_wrap_map`), which the stream's memo
-(`EvalContext.map_values`) calls once per argument tuple.
+generator rule (`_wrap_map`), called once per argument tuple for the whole
+check (`_once`).
+
+On a presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) a check
+first runs its stream at q = 2^BITS (`qfield.Packed`), where each product
+is one integer product and each zero test exact (`_check`).  When every
+instance holds there, that is the report.  The check runs in Q(q) instead
+when a map value has a denominator other than 1, and again in Q(q) when an
+instance fails, so that a report and its witnesses do not depend on the
+ring; a zero the packing cannot prove is redone at a larger b.
 """
 
 from __future__ import annotations
@@ -19,12 +27,14 @@ from .identities import (
     LINEAR_CLASSES,
     ClassModeMismatch,
     OutOfWindow,
+    _Once,
     axiom_instances,
     bilinear_instances,
     linear_instances,
     multiplicative_instances,
     skew_instances,
 )
+from .qfield import NotLaurent, PackingOverflow
 
 __all__ = [
     "CheckReport",
@@ -37,6 +47,10 @@ __all__ = [
     "BILINEAR_CLASSES",
     "LINEAR_CLASSES",
 ]
+
+# the first packing: q = 2^BITS decides every zero whose coefficient bound
+# is below 2^(BITS - 1)
+BITS = 32
 
 
 @dataclass
@@ -71,14 +85,41 @@ def _collect(p, stream):
     return report
 
 
+def _check(p, streams):
+    """The report of the instances streams(bits) yields, evaluated at
+    q = 2^bits or, for bits None, in Q(q).
+
+    A presentation with Laurent rules is read at q = 2^BITS first, and if
+    every instance holds there, the count is the report.  A failed
+    instance or a value off Z[q, 1/q] leaves the report to Q(q); a zero the
+    bound does not prove is redone with more bits.
+    """
+    bits = BITS if p.fast_scalars else None
+    while bits is not None:
+        checked = 0
+        try:
+            for _, _, lhs, rhs in streams(bits):
+                if lhs != rhs:
+                    break
+                checked += 1
+            else:
+                return CheckReport(checked)
+            bits = None
+        except PackingOverflow as e:
+            bits = max(2 * bits, e.bound.bit_length() + 2)
+        except NotLaurent:
+            bits = None
+    return _collect(p, streams(None))
+
+
 def check_axioms(p, window):
     """Skew/super-skew symmetry and the (super) twisted Jacobi identity."""
-    return _collect(p, axiom_instances(p, window))
+    return _check(p, lambda bits: axiom_instances(p, window, bits=bits))
 
 
 def check_multiplicative(p, window):
     """Whether the twist map is a bracket homomorphism on the window."""
-    return _collect(p, multiplicative_instances(p, window))
+    return _check(p, lambda bits: multiplicative_instances(p, window, bits=bits))
 
 
 def _wrap_map(fn, p, window):
@@ -99,6 +140,12 @@ def _wrap_map(fn, p, window):
     return call
 
 
+def _once(call):
+    """call with each value made once, for every stream of one check."""
+    values = _Once(lambda args: tuple(call(*args)))
+    return lambda *args: values.need(args)
+
+
 def check_bilinear_class(p, phi, cls, window):
     """Both defining identities of the selected bilinear class on the window.
 
@@ -107,10 +154,10 @@ def check_bilinear_class(p, phi, cls, window):
     """
     if cls not in BILINEAR_CLASSES:
         raise ValueError(f"unknown bilinear class {cls!r}")
-    stream = bilinear_instances(
-        p, cls, window, _wrap_map(phi, p, window), phi.parity, strict=True
-    )
-    return _collect(p, stream)
+    call = _once(_wrap_map(phi, p, window))
+    return _check(p, lambda bits: bilinear_instances(
+        p, cls, window, call, phi.parity, strict=True, bits=bits
+    ))
 
 
 def check_linear_class(p, f, cls, window, k=1):
@@ -121,13 +168,13 @@ def check_linear_class(p, f, cls, window, k=1):
     """
     if cls not in LINEAR_CLASSES:
         raise ValueError(f"unknown linear class {cls!r}")
-    stream = linear_instances(
-        p, cls, window, _wrap_map(f, p, window), f.parity, k=k, strict=True
-    )
-    return _collect(p, stream)
+    call = _once(_wrap_map(f, p, window))
+    return _check(p, lambda bits: linear_instances(
+        p, cls, window, call, f.parity, k=k, strict=True, bits=bits
+    ))
 
 
 def check_bilinear_skew(p, phi, window):
     """Whether phi(x,y) = -(-1)^{|x||y|} phi(y,x) holds on window pairs."""
-    stream = skew_instances(p, _wrap_map(phi, p, window), window)
-    return _collect(p, stream)
+    call = _once(_wrap_map(phi, p, window))
+    return _check(p, lambda bits: skew_instances(p, call, window, bits=bits))

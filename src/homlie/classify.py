@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from .algebra import Vector, Window, extend_linear
 from .maps import BilinearMap, LinearMap
-from .qfield import QRational
+from .qfield import _P1, QRational, primitive_part
 from .solver import (
     SolutionSpace,
     express_in_span,
@@ -121,15 +121,20 @@ def decompose(space, knowns):
     """Express the space's basis in the span of the named maps.
 
     knowns: mapping name -> concrete map.  residual_dim counts the part of
-    the space that lies outside that span.
+    the space that lies outside that span.  A named map with no slot in the
+    ansatz, such as one of another degree, is zero there: it is left out of
+    the span and gets coefficient 0.
     """
     ansatz = space.ansatz
     index = ansatz.index
     names = list(knowns)
+    live = []
     kvecs = []
     for name in names:
         keyed = ansatz.slot_vector_of_map(knowns[name])
-        kvecs.append({index[k]: v for k, v in keyed.items()})
+        if keyed:
+            live.append(name)
+            kvecs.append({index[k]: v for k, v in keyed.items()})
     if span_rank(kvecs) < len(kvecs):
         raise DependentKnowns("the named maps are linearly dependent on this window")
     vecs = space.id_vectors()
@@ -139,7 +144,7 @@ def decompose(space, knowns):
         if coeffs is None:
             coefficients.append(None)
         else:
-            coefficients.append(dict(zip(names, coeffs)))
+            coefficients.append(dict.fromkeys(names, Q0) | dict(zip(live, coeffs)))
     residual = span_rank(kvecs + vecs) - len(kvecs)
     return DecompositionReport(names, coefficients, residual)
 
@@ -238,10 +243,20 @@ def _poly_subs(poly, var, expr):
     return out
 
 
-def _canonical_poly(poly):
-    items = sorted(poly.items())
-    lead = items[0][1]
-    return tuple((m, c / lead) for m, c in items)
+def _constraint_key(poly):
+    """A key that two polys share iff one is a Q(q) multiple of the other:
+    the `primitive_part` of their numerators over a common denominator, as
+    sorted tuples.  A poly with Laurent coefficients, the usual case, needs
+    no division."""
+    den = _P1
+    for c in poly.values():
+        if c.den is not _P1:
+            den = den * c.den
+    if den is not _P1:
+        scale = QRational._trusted(den, _P1)
+        poly = {m: c * scale for m, c in poly.items()}
+    prim = primitive_part({m: c.num._t for m, c in poly.items()})
+    return tuple(sorted((m, tuple(sorted(t.items()))) for m, t in prim.items()))
 
 
 def _solve_constraints(constraints, depth=0):
@@ -355,7 +370,7 @@ def corollary_check(p, family, prop, window):
     def add_constraint(poly):
         poly = {m: c for m, c in poly.items() if not c.is_zero}
         if poly:
-            constraints[_canonical_poly(poly)] = poly
+            constraints[_constraint_key(poly)] = poly
 
     for x in gens:
         vx = Vector.of(x)

@@ -3,10 +3,16 @@
 The checker evaluates these instance streams on concrete maps.  They are
 also the reference for the solver's row generator (`solver._rows`), which
 writes the same identities directly as linear rows in the map's unknowns:
-the test suite compares the residuals of the two on the same maps.  Values
-are term dicts generator -> Q(q) coefficient.  Brackets, twists and the map
-are all evaluated through `algebra.extend_bilinear` and `extend_linear`,
-which extend a rule on generators over term dicts.
+the test suite compares the residuals of the two on the same maps; the
+streams read neither those rows nor the solver's tables.  Values are term
+dicts generator -> coefficient, in the ring of the stream's `EvalContext`:
+Q(q) by default, or with `bits` set, Z[q, 1/q] packed at q = 2^bits
+(`qfield.Packed`), where a product is one integer product and a zero test
+one integer test, exact while a carried coefficient bound stays below
+2^(bits - 1).  Brackets, twists and the map are all evaluated through
+`algebra.extend_bilinear` and `extend_linear`, which extend a rule on
+generators over term dicts; the context supplies the bracket and twist
+rules and the unit coefficient in its ring.
 
 Each stream evaluates every map value, twist and generator bracket once per
 check and reuses it across instances.  The bilinear stream also makes each
@@ -26,7 +32,7 @@ from __future__ import annotations
 from .algebra import add_terms as m_add
 from .algebra import extend_bilinear, extend_linear
 from .algebra import neg_terms as m_neg
-from .qfield import QRational
+from .qfield import QRational, pack
 
 Q1 = QRational(1)
 
@@ -94,17 +100,61 @@ class _Once(dict):
         return lambda g: self.need((g, h)).items()
 
 
-class EvalContext:
-    """Evaluation helpers bound to one presentation, window and strictness.
+def _packer(b):
+    """`qfield.pack` at q = 2^b, made once per distinct coefficient:
+    `NotLaurent` when a coefficient is off Z[q, 1/q]."""
+    packs = {}
 
-    The memos it hands out refer to it, but it keeps none of them, so a
-    check leaves no reference cycle behind.
+    def packed(c):
+        v = packs.get(c)
+        if v is None:
+            v = packs[c] = pack(c, b)
+        return v
+
+    return packed
+
+
+def _packed_rule(rule, packed):
+    """A generator rule of the presentation with its values packed, each
+    made once."""
+    memo = {}
+
+    def packed_rule(*gens):
+        v = memo.get(gens)
+        if v is None:
+            v = memo[gens] = tuple([(g, packed(c)) for g, c in rule(*gens)])
+        return v
+
+    return packed_rule
+
+
+class EvalContext:
+    """Evaluation helpers bound to one presentation, window, strictness and
+    coefficient ring.
+
+    With bits None the coefficients are the presentation's own, in Q(q).
+    With bits b every structure constant, twist coefficient and map value
+    is packed at q = 2^b (`qfield.Packed`), each distinct one once per
+    context: a value in another ring raises `NotLaurent`, and a zero the
+    packing cannot prove raises `PackingOverflow`.  The memos it hands out refer to it, but it
+    keeps none of them, so a check leaves no reference cycle behind.
     """
 
-    def __init__(self, p, window, strict):
+    def __init__(self, p, window, strict, bits=None):
         self.p = p
         self.window = window
         self.strict = strict and not p.is_scalar and window is not None
+        if bits is None:
+            self.one = Q1
+            self.bracket_gens = p.bracket_gens
+            self.alpha_gens = p.alpha_gens
+            self.values_of = dict
+        else:
+            packed = _packer(bits)
+            self.one = packed(Q1)
+            self.bracket_gens = _packed_rule(p.bracket_gens, packed)
+            self.alpha_gens = _packed_rule(p.alpha_gens, packed)
+            self.values_of = lambda items: {g: packed(c) for g, c in items}
 
     def guard(self, d):
         if self.strict:
@@ -115,10 +165,10 @@ class EvalContext:
         return d
 
     def bracket(self, u, v):
-        return self.guard(extend_bilinear(self.p.bracket_gens, u, v))
+        return self.guard(extend_bilinear(self.bracket_gens, u, v))
 
     def alpha(self, u):
-        return self.guard(extend_linear(self.p.alpha_gens, u))
+        return self.guard(extend_linear(self.alpha_gens, u))
 
     def alpha_k(self, u, k):
         for _ in range(k):
@@ -127,20 +177,21 @@ class EvalContext:
 
     def generator_values(self):
         """Memos of alpha(g) and of [g, h] by (g, h), on generators."""
+        one = self.one
         return (
-            _Once(lambda g: self.alpha({g: Q1})),
-            _Once(lambda gh: self.bracket({gh[0]: Q1}, {gh[1]: Q1})),
+            _Once(lambda g: self.alpha({g: one})),
+            _Once(lambda gh: self.bracket({gh[0]: one}, {gh[1]: one})),
         )
 
     def map_values(self, fn):
         """fn's values on argument tuples, each made once: the term dicts
         that extend fn over other values, and the same dicts guarded, as
         values in their own right."""
-        values = _Once(lambda args: dict(fn(*args)))
+        values = _Once(lambda args: self.values_of(fn(*args)))
         return values, _Once(lambda args: self.guard(values.need(args)))
 
 
-def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
+def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, bits=None):
     """Yield (equation id, inputs, lhs, rhs) for each interior instance.
 
     phi(g1, g2) must return its value as the items of a term dict and raise
@@ -155,12 +206,12 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
     identities.
     """
     check_class_mode(p, cls)
-    ctx = EvalContext(p, window, strict)
+    ctx = EvalContext(p, window, strict, bits)
     twisted = cls in ("biderivation", "super_biderivation")
     gens = p.gens_in(window)
     twist, pair = ctx.generator_values()
     values, shown = ctx.map_values(phi)
-    bracket_gens = p.bracket_gens
+    bracket_gens = ctx.bracket_gens
     alpha_bracket = _Once(
         lambda gh: extend_linear(lambda a: bracket_gens(a, gh[1]), twist.need(gh[0]))
     )
@@ -222,7 +273,7 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False):
                         pass
 
 
-def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
+def linear_instances(p, cls, window, f, f_parity, k=1, strict=False, bits=None):
     """Yield identity instances for a linear map class over window pairs.
 
     f(g) must return its value as the items of a term dict and raise
@@ -232,7 +283,7 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
     check_class_mode(p, cls)
     if cls == "alpha_k_derivation" and k < 0:
         raise ValueError("twist power must be nonnegative")
-    ctx = EvalContext(p, window, strict)
+    ctx = EvalContext(p, window, strict, bits)
     gens = p.gens_in(window)
     twist, pair = ctx.generator_values()
     values, images = ctx.map_values(f)
@@ -250,8 +301,8 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
                 pass
             for y in gens:
                 try:
-                    lhs = ctx.bracket(images.need((x,)), {y: Q1})
-                    rhs = ctx.bracket(images.need((y,)), {x: Q1})
+                    lhs = ctx.bracket(images.need((x,)), {y: ctx.one})
+                    rhs = ctx.bracket(images.need((y,)), {x: ctx.one})
                     if not (x.parity and y.parity):
                         rhs = m_neg(rhs)
                     yield ("commute", (x, y), lhs, rhs)
@@ -259,7 +310,7 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
                     pass
         return
     kk = 0 if cls in ("derivation", "super_derivation") else k
-    twists = _Once(lambda g: ctx.alpha_k({g: Q1}, kk))
+    twists = _Once(lambda g: ctx.alpha_k({g: ctx.one}, kk))
     for x in gens:
         negx = f_parity and x.parity
         for y in gens:
@@ -274,10 +325,10 @@ def linear_instances(p, cls, window, f, f_parity, k=1, strict=False):
                 pass
 
 
-def axiom_instances(p, window, strict=True):
+def axiom_instances(p, window, strict=True, bits=None):
     """Skew/super-skew pairs and (super) twisted Jacobi triples; each alpha(g)
     and each [g, h] of window generators is made once."""
-    ctx = EvalContext(p, window, strict)
+    ctx = EvalContext(p, window, strict, bits)
     twist, pair = ctx.generator_values()
     gens = p.gens_in(window)
     skew_name = "super-skew-symmetry" if p.is_super else "skew-symmetry"
@@ -318,8 +369,8 @@ def axiom_instances(p, window, strict=True):
                         pass
 
 
-def multiplicative_instances(p, window, strict=True):
-    ctx = EvalContext(p, window, strict)
+def multiplicative_instances(p, window, strict=True, bits=None):
+    ctx = EvalContext(p, window, strict, bits)
     twist, pair = ctx.generator_values()
     gens = p.gens_in(window)
     for x in gens:
@@ -332,9 +383,9 @@ def multiplicative_instances(p, window, strict=True):
                 pass
 
 
-def skew_instances(p, phi, window, strict=True):
+def skew_instances(p, phi, window, strict=True, bits=None):
     """Pairs testing phi(x,y) = -(-1)^{|x||y|} phi(y,x)."""
-    ctx = EvalContext(p, window, strict)
+    ctx = EvalContext(p, window, strict, bits)
     gens = p.gens_in(window)
     _, shown = ctx.map_values(phi)
     for x in gens:

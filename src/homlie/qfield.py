@@ -11,8 +11,11 @@ families used by the q-deformed graded algebras (`qbracket` for the
 symmetric one, `qbrace` for the geometric one) and exact evaluation at
 rational points of q.  It is the one module that computes on bare term
 dicts {exp: coeff}, the integer Laurent polynomials of the solver's rows:
-`terms_mul` is their product (and the body of `LaurentPoly.__mul__`), and
-`primitive_part` divides several of them by their common factor.
+`terms_mul` is their product (and the body of `LaurentPoly.__mul__`),
+`primitive_part` divides several of them by their common factor, and
+`packed_int` evaluates one at q = 2^b.  `Packed` is an element of
+Z[q, 1/q] as one such integer with a coefficient bound, in which products
+and zero tests are integer operations (`pack` converts a `QRational`).
 
 The unit denominator is the single object `_P1`: every value whose
 denominator is 1 holds that object, so `__add__` and `__mul__` can test
@@ -647,6 +650,110 @@ def qbrace(n):
     num = _P1 - LaurentPoly({n: 1})
     den = _P1 - _Pq
     return QRational.make(num, den)
+
+
+# -- values at q = 2^b ---------------------------------------------------------
+#
+# Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra):
+# a Laurent polynomial P = sum c_i q^i whose exponents are all at least e is
+# packed as the integer N = sum c_i 2^(b (i - e)), that is q^-e P(q) at
+# q = 2^b.  When every |c_i| < 2^(b-1) the top term of a nonzero P outweighs
+# all the others, so N = 0 iff P = 0.  A `Packed` value carries a bound w on
+# the 1-norm sum |c_i| beside N: ||P + Q|| <= ||P|| + ||Q|| and
+# ||PQ|| <= ||P|| ||Q||.  A nonzero N proves P nonzero whatever w is; a zero
+# N proves P zero only while w < 2^(b-1), and otherwise raises
+# `PackingOverflow`, so a caller redoes the work at a larger b and never
+# reads an undecided value as zero.
+
+
+class PackingOverflow(ArithmeticError):
+    """A packed value reads zero, but its bound is too large to prove it."""
+
+    def __init__(self, bound):
+        super().__init__(f"coefficient bound {bound} too large for the packing")
+        self.bound = bound
+
+
+class NotLaurent(ValueError):
+    """A value with a denominator other than 1 has no packed form."""
+
+
+_new = object.__new__
+
+
+class Packed:
+    """An element of Z[q, 1/q] at q = 2^b: (e, N, w, b) as above.  The ring
+    operations are those a term dict needs: +, unary -, * and `is_zero`,
+    and == compares two values packed with the same b."""
+
+    __slots__ = ("e", "n", "w", "b")
+
+    def __add__(self, other):
+        v = _new(Packed)
+        d = other.e - self.e
+        if d >= 0:
+            v.e = self.e
+            v.n = self.n + (other.n << self.b * d)
+        else:
+            v.e = other.e
+            v.n = other.n + (self.n << -self.b * d)
+        v.w = self.w + other.w
+        v.b = self.b
+        return v
+
+    def __neg__(self):
+        v = _new(Packed)
+        v.e, v.n, v.w, v.b = self.e, -self.n, self.w, self.b
+        return v
+
+    def __mul__(self, other):
+        v = _new(Packed)
+        v.e = self.e + other.e
+        v.n = self.n * other.n
+        v.w = self.w * other.w
+        v.b = self.b
+        return v
+
+    @property
+    def is_zero(self):
+        if self.n:
+            return False
+        if self.w >> (self.b - 1):
+            raise PackingOverflow(self.w)
+        return True
+
+    def __eq__(self, other):
+        d = other.e - self.e
+        if d >= 0:
+            same = self.n == other.n << self.b * d
+        else:
+            same = other.n == self.n << -self.b * d
+        if same and (self.w + other.w) >> (self.b - 1):
+            raise PackingOverflow(self.w + other.w)
+        return same
+
+    def __repr__(self):
+        return f"Packed(e={self.e}, n={self.n}, w={self.w}, b={self.b})"
+
+
+def packed_int(terms, b, lo):
+    """The integer sum c q^(e - lo) at q = 2^b of a term dict whose
+    exponents are all at least lo."""
+    return sum(c << b * (e - lo) for e, c in terms.items())
+
+
+def pack(x, b):
+    """The `Packed` value of x at q = 2^b; `NotLaurent` unless x lies in
+    Z[q, 1/q] over the shared unit denominator."""
+    if x.den is not _P1:
+        raise NotLaurent(f"{x} is not a Laurent polynomial")
+    t = x.num._t
+    v = _new(Packed)
+    v.e = lo = min(t) if t else 0
+    v.n = packed_int(t, b, lo)
+    v.w = sum(map(abs, t.values()))
+    v.b = b
+    return v
 
 
 def specialize(x, q0):

@@ -76,6 +76,7 @@ from .qfield import (
     ForbiddenSpecialization,
     LaurentPoly,
     QRational,
+    packed_int,
     poly_divexact,
     poly_gcd,
     primitive_part,
@@ -1186,7 +1187,7 @@ def _satisfies_all(rows, vecs):
     b = (rnorm * max(sum(map(abs, t.values())) for t in vterms)).bit_length() + 1
 
     def values(pols, lo):
-        return {key: sum(c << b * (e - lo) for e, c in pol.items()) for key, pol in pols}
+        return {key: packed_int(pol, b, lo) for key, pol in pols}
 
     at = values([(key, pol) for key, (pol, _) in seen.items()],
                 min(min(pol) for pol, _ in seen.values()))

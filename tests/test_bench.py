@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from homlie.algebra import Window
+from homlie.algebra import BUILTIN_NAMES, Window
+from homlie.classify import COMMUTING_MAPS
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
 
@@ -33,5 +34,15 @@ def test_bench_times_the_spaces_that_reproduce_paper_scans(bench):
 
 def test_bench_checks_every_named_map_and_builtin(bench):
     rows = bench.bench_checker()
-    assert {row["check"] for row in rows} == {"check_bilinear_class", "check_axioms"}
+    assert {row["check"] for row in rows} == {
+        "check_bilinear_class", "check_linear_class", "check_axioms"}
     assert all(row["instances"] > 0 for row in rows)
+
+
+def test_bench_checks_every_commuting_map(bench):
+    rows = [row for row in bench.bench_checker() if row["check"] == "check_linear_class"]
+    assert {row["class"] for row in rows} == {"commuting_map"}
+    assert {row["map"] for row in rows} == set(COMMUTING_MAPS)
+    assert ("w22q", "L->W") in {(row["algebra"], row["map"]) for row in rows}
+    assert ("wittsuperq", "L->G") in {(row["algebra"], row["map"]) for row in rows}
+    assert {row["algebra"] for row in rows if row["map"] == "identity"} == set(BUILTIN_NAMES)

@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from homlie import checker, identities
 from homlie.algebra import (
+    BUILTIN_NAMES,
     AlgebraPresentation,
     AlphaRule,
     BracketTerm,
     Family,
+    UnknownGenerator,
     Vector,
     Window,
     builtin,
 )
 from homlie.checker import (
+    BILINEAR_CLASSES,
+    BITS,
     ClassModeMismatch,
     check_axioms,
     check_bilinear_class,
@@ -22,10 +27,11 @@ from homlie.checker import (
     _collect,
     _wrap_map,
 )
-from homlie.classify import commuting_map, induced, known_map
+from homlie.classify import COMMUTING_MAPS, KNOWN_MAPS, commuting_map, induced, known_map
 from homlie.identities import OutOfWindow, bilinear_instances
 from homlie.maps import BilinearMap, LinearMap
-from homlie.qfield import QRational, qpow
+from homlie.qfield import _P1, QRational, qpow
+from test_solver import _presentation
 
 WIN = Window(-4, 4)
 Q1 = QRational(1)
@@ -318,3 +324,177 @@ def test_wrap_map_raises_out_of_window_and_calls_the_rule_each_time(w22q):
         with pytest.raises(OutOfWindow):
             call(g, g)
     assert calls[g, g] == 2
+
+
+# -- the packed pass at q = 2^BITS against Q(q) ------------------------------------
+
+
+STREAMS = ("axiom_instances", "multiplicative_instances", "bilinear_instances",
+           "linear_instances", "skew_instances")
+
+
+def _run(monkeypatch, p, check):
+    """check() as the checker runs it, the bits of each stream it read (None
+    for Q(q)) and the values it could not pack; then check() in Q(q) only."""
+    rings, off = [], []
+    with monkeypatch.context() as m:
+        for name in STREAMS:
+            def spy(*args, stream=getattr(checker, name), **kw):
+                rings.append(kw["bits"])
+                return stream(*args, **kw)
+
+            m.setattr(checker, name, spy)
+
+        def pack(x, b, real=identities.pack):
+            if x.den is not _P1:
+                off.append(x)
+            return real(x, b)
+
+        m.setattr(identities, "pack", pack)
+        rep = check()
+    with monkeypatch.context() as m:
+        m.setattr(p, "fast_scalars", False)
+        exact = check()
+    return rep, rings, off, exact
+
+
+def _same_report(monkeypatch, p, check):
+    """Assert that check() gives the report of Q(q), and that on a Laurent
+    presentation the pass at q = 2^BITS decided it: all of it when every
+    instance holds, and the report is redone in Q(q) only when one fails."""
+    rep, rings, off, exact = _run(monkeypatch, p, check)
+    assert rep == exact and str(rep) == str(exact)
+    if p.fast_scalars:
+        assert not off
+        assert rings == ([BITS] if exact.passed else [BITS, None])
+    else:
+        assert rings == [None]
+    return rep
+
+
+def _maps(p, names, make):
+    out = []
+    for name in names:
+        try:
+            out.append((name, make(name, p)))
+        except UnknownGenerator:
+            pass  # p lacks one of the map's families
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_axiom_reports_agree(monkeypatch, name):
+    p = builtin(name)
+    assert _same_report(monkeypatch, p, lambda: check_axioms(p, WIN)).passed
+    _same_report(monkeypatch, p, lambda: check_multiplicative(p, WIN))
+
+
+@pytest.mark.parametrize("name,cls", [
+    (name, cls) for name in BUILTIN_NAMES for cls in BILINEAR_CLASSES
+    if ("super" in cls) == builtin(name).is_super
+])
+def test_named_map_reports_agree(monkeypatch, name, cls):
+    p = builtin(name)
+    for _, phi in _maps(p, KNOWN_MAPS, known_map):
+        _same_report(monkeypatch, p, lambda: check_bilinear_class(p, phi, cls, WIN))
+        _same_report(monkeypatch, p, lambda: check_bilinear_skew(p, phi, WIN))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_commuting_map_reports_agree(monkeypatch, name):
+    p = builtin(name)
+    maps = _maps(p, COMMUTING_MAPS, commuting_map)
+    assert maps
+    for _, f in maps:
+        rep = _same_report(monkeypatch, p, lambda: check_linear_class(p, f, "commuting_map", WIN))
+        assert rep.passed
+
+
+def _perturbed(phi, at, delta):
+    """phi with delta (generator -> coefficient) added to its value at the pair at."""
+    def rule(g1, g2):
+        v = phi(g1, g2)
+        return v + Vector(delta) if (g1, g2) == at and v is not None else v
+
+    return BilinearMap.from_rule(phi.parity, rule, degree=phi.degree)
+
+
+def test_perturbed_map_gives_the_same_witnesses(monkeypatch, w22q):
+    x, y = w22q.generator("L", 0), w22q.generator("L", 1)
+    phi = _perturbed(known_map("phi_0", w22q), (x, y), {w22q.generator("W", 1): qpow(2)})
+    rep = _same_report(monkeypatch, w22q, lambda: check_bilinear_class(
+        w22q, phi, "biderivation", WIN))
+    assert rep.witnesses and all(x in inputs or y in inputs for _, inputs, _, _ in rep.witnesses)
+
+
+@pytest.mark.parametrize("coeff", [QRational(2 ** 40), QRational(2 ** (BITS - 1))])
+def test_a_large_residual_is_caught(monkeypatch, w22q, coeff):
+    # the skew residual at (L(0), L(1)) is coeff * L(1) alone: a nonzero
+    # integer at q = 2^BITS, so no redo is needed
+    x, y = w22q.generator("L", 0), w22q.generator("L", 1)
+    phi = _perturbed(known_map("phi_ad", w22q), (x, y), {y: coeff})
+    rep = _same_report(monkeypatch, w22q, lambda: check_bilinear_skew(w22q, phi, WIN))
+    assert [inputs for _, inputs, _, _ in rep.witnesses] == [(x, y), (y, x)]
+    lhs, rhs = rep.witnesses[0][2:]
+    assert (lhs - rhs).terms == {y: coeff}
+
+
+def test_a_residual_that_vanishes_at_the_packing_point_is_redone(monkeypatch, w22q):
+    # the residual (q - 2^BITS) * L(1) is 0 at q = 2^BITS, but its bound
+    # passes 2^(BITS - 1): the pass is redone with more bits, which catch it
+    x, y = w22q.generator("L", 0), w22q.generator("L", 1)
+    alias = qpow(1) - QRational(2 ** BITS)
+    phi = _perturbed(known_map("phi_ad", w22q), (x, y), {y: alias})
+    rep, rings, off, exact = _run(monkeypatch, w22q, lambda: check_bilinear_skew(w22q, phi, WIN))
+    assert rep == exact and not off
+    assert rings[0] == BITS and rings[1] > BITS and rings[2:] == [None]
+    assert [inputs for _, inputs, _, _ in rep.witnesses] == [(x, y), (y, x)]
+
+
+def test_a_zero_beyond_the_bound_is_redone_not_read(monkeypatch, w22q):
+    # 2^(BITS - 1) * phi_ad is skew, but each skew instance compares two
+    # values whose bounds sum past 2^(BITS - 1): only a larger packing
+    # proves them equal
+    big = QRational(2 ** (BITS - 1))
+    phi_ad = known_map("phi_ad", w22q)
+    phi = BilinearMap.from_rule(0, lambda g1, g2: phi_ad(g1, g2) * big, degree=0)
+    rep, rings, off, exact = _run(monkeypatch, w22q, lambda: check_bilinear_skew(w22q, phi, WIN))
+    assert rep == exact and rep.passed and not off
+    assert rep.checked == check_bilinear_skew(w22q, phi_ad, WIN).checked
+    assert rings[0] == BITS and len(rings) == 2 and rings[1] > BITS
+
+
+def test_rational_rules_take_the_exact_path(monkeypatch):
+    p = _presentation("thirds")
+    assert not p.fast_scalars
+    assert _same_report(monkeypatch, p, lambda: check_axioms(p, Window(-3, 3))).passed
+
+
+def test_a_map_value_off_the_laurent_ring_takes_the_exact_path(monkeypatch, w22q):
+    coeff = (qpow(1) + QRational(2)) / QRational(3)
+    identity = commuting_map("identity", w22q)
+    f = LinearMap.from_rule(0, lambda g: coeff * identity(g), degree=0)
+    rep, rings, off, exact = _run(monkeypatch, w22q, lambda: check_linear_class(
+        w22q, f, "commuting_map", WIN))
+    assert rep == exact and rep.passed
+    assert off and rings == [BITS, None]
+
+
+def test_a_laurent_check_makes_no_qfield_product(monkeypatch, w22q):
+    # phi_0 as a table of values made beforehand, on a presentation whose
+    # structure constants are memoized: the check multiplies no QRational
+    window = Window(-2, 2)
+    phi_0 = known_map("phi_0", w22q)
+    gens = w22q.gens_in(window)
+    phi = BilinearMap.from_table(0, {(g, h): phi_0(g, h) for g in gens for h in gens})
+    assert check_bilinear_class(w22q, phi, "biderivation", window).passed
+    products = Counter()
+    mul = QRational.__mul__
+
+    def counted(a, b):
+        products["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(QRational, "__mul__", counted)
+    assert check_bilinear_class(w22q, phi, "biderivation", window).passed
+    assert products["mul"] == 0

@@ -2,6 +2,7 @@ import pytest
 
 from homlie.algebra import BUILTIN_NAMES, Vector, Window, builtin
 from homlie.checker import check_bilinear_class, check_linear_class
+from homlie import classify
 from homlie.classify import (
     DependentKnowns,
     corollary_check,
@@ -9,8 +10,10 @@ from homlie.classify import (
     known_map,
     solve_commuting_maps,
 )
-from homlie.qfield import QRational, qbrace, qbracket
+from homlie.maps import BilinearMap
+from homlie.qfield import _P1, QRational, qbrace, qbracket
 from homlie.solver import SolutionSpace, stable_solve
+from test_solver import _presentation
 
 WIN = Window(-3, 3)
 RANGE = (-2, 2)
@@ -117,6 +120,22 @@ def test_dependent_knowns_rejected(w22q, w22q_space):
         decompose(w22q_space, {"a": phi, "b": phi})
 
 
+def test_decompose_gives_a_map_with_no_slot_coefficient_zero(w22q, w22q_space):
+    # the zero map has a zero slot vector: that is no linear dependence, and
+    # it takes no part in the span
+    knowns = {
+        "phi_ad": known_map("phi_ad", w22q),
+        "zero": BilinearMap.from_rule(0, lambda g1, g2: Vector({})),
+        "phi_0": known_map("phi_0", w22q),
+    }
+    rep = decompose(w22q_space, knowns)
+    want = decompose(w22q_space, {name: knowns[name] for name in ("phi_ad", "phi_0")})
+    assert rep.residual_dim == want.residual_dim == 0
+    for got, c in zip(rep.coefficients, want.coefficients):
+        assert list(got) == ["phi_ad", "zero", "phi_0"]
+        assert got == {**c, "zero": QRational(0)}
+
+
 # -- commuting maps -----------------------------------------------------------------
 
 
@@ -203,6 +222,41 @@ def test_wittsuperq_corollaries(wittsuperq):
     assert corollary_check(
         wittsuperq, odd, "super_derivation", WIN
     ).classifications == ["zero"]
+
+
+def _division_key(poly):
+    # the reference key: every coefficient divided by the one of the
+    # smallest monomial
+    items = sorted(poly.items())
+    return tuple((m, c / items[0][1]) for m, c in items)
+
+
+def _partition(polys, key):
+    groups = {}
+    for i, poly in enumerate(polys):
+        groups.setdefault(key(poly), []).append(i)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("alg,parity", [
+    ("w22q", 0), ("wittq", 0), ("wittsuperq", 0), ("wittsuperq", 1), ("example49", 0),
+    ("thirds", 0),
+])
+def test_constraint_keys_partition_like_the_division(monkeypatch, alg, parity):
+    # every constraint poly of the corollary checks, keyed by its primitive
+    # part and by division by its lead coefficient: the same classes
+    p = _presentation(alg)
+    fam = solve_commuting_maps(p, parity, WIN, delta=2, degree_range=RANGE)
+    derivation = "super_derivation" if p.is_super else "derivation"
+    polys = []
+    key = classify._constraint_key
+    monkeypatch.setattr(classify, "_constraint_key", lambda poly: polys.append(poly) or key(poly))
+    for prop in ("automorphism", derivation) if parity == 0 else (derivation,):
+        corollary_check(p, fam, prop, WIN)
+    assert len(_partition(polys, key)) < len(polys)
+    assert _partition(polys, key) == _partition(polys, _division_key)
+    rational = [poly for poly in polys if any(c.den is not _P1 for c in poly.values())]
+    assert bool(rational) == (alg in ("thirds", "example49"))
 
 
 def test_property_validation(wittq, wittsuperq):

@@ -137,14 +137,17 @@ def test_classify_w22q(capsys):
     assert res["dim"] == 2 and res["residual_dim"] == 0
 
 
-def test_classify_dependent_knowns_exits_two(capsys):
-    # phi_ad and phi_0 have degree 0, so in a degree -1 ansatz both are zero
+def test_classify_named_maps_of_another_degree_are_no_dependence(capsys):
+    # phi_ad and phi_0 have degree 0, so in a degree -1 ansatz both are zero:
+    # they span nothing there, and the whole space is residual
     code, out, err = run(
         capsys, "classify", "--algebra", "w22q", "--class", "alpha-biderivation",
-        "--degree", "-1", "--window", "0..1", "--delta", "0",
+        "--degree", "-1", "--window", "0..1", "--delta", "0", "--output", "json",
     )
-    assert code == 2 and out == ""
-    assert err == "error: the named maps are linearly dependent on this window\n"
+    assert code == 1 and err == ""
+    res = json.loads(out)["results"][0]
+    assert res["dim"] == 2 and res["residual_dim"] == 2
+    assert res["coefficients"] == [None, None]
 
 
 def test_check_map_failure_exits_nonzero(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlie import qfield
@@ -155,6 +155,41 @@ def test_primitive_part_removes_one_common_factor(polys, h):
 @settings(max_examples=80, deadline=None)
 def test_n_ary_gcd_is_the_pairwise_fold(polys):
     assert poly_gcd(*polys) == reduce(poly_gcd, polys, LaurentPoly({}))
+
+
+# -- values packed at q = 2^b -----------------------------------------------------
+
+
+def _at(x):
+    """The rational number a Packed value stands for."""
+    return x.n * Fraction(2) ** (x.b * x.e)
+
+
+@given(laurents(), laurents(), laurents(), st.sampled_from([3, 4, 8, 32]))
+# 2 * 4 - q is 0 at q = 2^3
+@example(LaurentPoly({0: 2}), LaurentPoly({0: 4}), LaurentPoly({1: -1}), 3)
+@settings(max_examples=150, deadline=None)
+def test_packed_arithmetic_is_evaluation_at_a_power_of_two(a, b, c, bits):
+    # small bits make the bound overflow often: a zero test then raises
+    # rather than answer, and never calls a nonzero value zero
+    pa, pb, pc = (qfield.pack(QRational(x), bits) for x in (a, b, c))
+    for packed, poly in ((pa * pb + pc, a * b + c), (-pa + pb * pc, -a + b * c)):
+        assert _at(packed) == poly.evaluate(2 ** bits)
+        assert packed.w >= sum(abs(k) for _, k in poly.items())
+        try:
+            assert packed.is_zero == poly.is_zero
+        except qfield.PackingOverflow as e:
+            assert e.bound >= 2 ** (bits - 1)
+    try:
+        assert (pa * pb == pc) == (a * b == c)
+    except qfield.PackingOverflow as e:
+        assert e.bound >= 2 ** (bits - 1)
+
+
+def test_pack_refuses_a_denominator():
+    with pytest.raises(qfield.NotLaurent):
+        qfield.pack(QRational(Fraction(1, 3)), 32)
+    assert _at(qfield.pack(qpow(-3) * QRational(5), 32)) == Fraction(5, 2 ** 96)
 
 
 # -- field arithmetic ----------------------------------------------------------

@@ -16,6 +16,7 @@ from homlie.checker import (
     check_linear_class,
 )
 from homlie.classify import decompose, known_map
+from homlie.cli import main
 from homlie.dsl import parse
 from homlie.identities import (
     BILINEAR_CLASSES,
@@ -1437,6 +1438,23 @@ def test_q_free_biderivations_against_the_named_maps(alg, knowns, residual):
     space = _q_free_space(alg, 0)
     p = space.ansatz.p
     assert decompose(space, {name: known_map(name, p) for name in knowns}).residual_dim == residual
+
+
+def test_q_free_named_map_of_another_degree_is_no_dependence(tmp_path, capsys):
+    # phi_ad has degree 0, so its slot vector in hv's degree-1 ansatz is zero:
+    # the whole stable space is residual, a failed classification (exit 1)
+    # and not linearly dependent named maps (exit 2)
+    space = _q_free_space("hv", 1)
+    p = space.ansatz.p
+    rep = decompose(space, {"phi_ad": known_map("phi_ad", p)})
+    assert (space.dim, rep.residual_dim, rep.coefficients) == (1, 1, [None])
+    path = tmp_path / "hv.alg"
+    path.write_text(HV)
+    code = main(["classify", "--algebra", str(path), "--class", "biderivation",
+                 "--degree", "1", "--window=-2..2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert "stable dim 1; residual outside span(phi_ad) = 1" in out.out
 
 
 def test_q_free_skew_split():
