@@ -12,12 +12,14 @@ and `nullspace` on the window, then `stable_solve` with its enlarged window
 spaces the mod-p certificate proved 0.  A third section times the checker at the same
 window: `check_bilinear_class` of each named map of `classify.PAPER_MAPS`
 against its class, `check_linear_class` of each `classify.COMMUTING_MAPS`
-member as a commuting map on each built-in that has its families, and
-`check_axioms` on each built-in.  Everything runs
-serially in one process.  Each stage of the first section, the second
+member as a commuting map on each built-in that has its families,
+`check_axioms` and `check_multiplicative` on each built-in, and the named
+maps of `FAILING_MAPS` against a class they fail.  Each check row carries
+the verdict its report must give, and the run stops when a report gives
+another.  Everything runs serially in one process.  Each stage of the first section, the second
 section as a whole and each check of the third section are timed five
 times, and the median and quartiles are kept.  The result, with the
-unknown, row and instance counts, the dimensions and
+unknown, row, instance and witness counts, the dimensions and
 `stable_basis_sha256`, goes to BENCH_<label>.json next to this file:
 
     PYTHONPATH=src python benchmarks/bench.py --label NAME
@@ -41,7 +43,12 @@ import time
 from pathlib import Path
 
 from homlie.algebra import BUILTIN_NAMES, UnknownGenerator, Window, builtin
-from homlie.checker import check_axioms, check_bilinear_class, check_linear_class
+from homlie.checker import (
+    check_axioms,
+    check_bilinear_class,
+    check_linear_class,
+    check_multiplicative,
+)
 from homlie.classify import COMMUTING_MAPS, PAPER_MAPS, commuting_map, known_map
 from homlie.solver import build_ansatz, build_system, nullspace, stable_solve
 from homlie.suite import AcceptanceSuite, SuiteConfig
@@ -55,6 +62,14 @@ _SPECS = AcceptanceSuite(SuiteConfig(window=WINDOW, delta=DELTA))._scan_specs()
 SPACES = tuple((t.alg, t.cls, t.parity, t.s) for t in _SPECS if t.knowns)
 # the vanishing windows, as (algebra, kind, class, parity, s, k)
 SCAN = tuple((*t.key, t.k) for t in _SPECS if not t.knowns)
+# the built-ins whose twist is not multiplicative, criterion 01's expected
+# failure (example49's twist is multiplicative on the window)
+NOT_MULTIPLICATIVE = ("w22q", "wittq", "wittsuperq")
+# named maps outside a class, as (algebra, map, class)
+FAILING_MAPS = (
+    ("w22q", "phi_0", "alpha_biderivation"),
+    ("wittsuperq", "phi_minus1", "alpha_super_biderivation"),
+)
 
 
 def _timed(fn):
@@ -135,7 +150,8 @@ def bench_vanishing():
 def bench_checker():
     """The checker's seconds per check: each named map of PAPER_MAPS against
     its class, each commuting map of COMMUTING_MAPS on each built-in with
-    its families, then the axioms of each built-in, REPEAT times each."""
+    its families, the axioms and multiplicativity of each built-in, then
+    the named maps of FAILING_MAPS, REPEAT times each."""
     checks = []
     for (alg, parity), names in PAPER_MAPS.items():
         p = builtin(alg)
@@ -144,7 +160,7 @@ def bench_checker():
             phi = known_map(name, p)
             checks.append((
                 {"check": "check_bilinear_class", "algebra": alg, "map": name,
-                 "class": cls},
+                 "class": cls, "passed": True},
                 lambda p=p, phi=phi, cls=cls: check_bilinear_class(p, phi, cls, WINDOW),
             ))
     for alg in BUILTIN_NAMES:
@@ -156,13 +172,25 @@ def bench_checker():
                 continue  # p lacks the map's source or target family
             checks.append((
                 {"check": "check_linear_class", "algebra": alg, "map": name,
-                 "class": "commuting_map"},
+                 "class": "commuting_map", "passed": True},
                 lambda p=p, f=f: check_linear_class(p, f, "commuting_map", WINDOW),
             ))
     for alg in BUILTIN_NAMES:
         checks.append((
-            {"check": "check_axioms", "algebra": alg},
+            {"check": "check_axioms", "algebra": alg, "passed": True},
             lambda p=builtin(alg): check_axioms(p, WINDOW),
+        ))
+        checks.append((
+            {"check": "check_multiplicative", "algebra": alg,
+             "passed": alg not in NOT_MULTIPLICATIVE},
+            lambda p=builtin(alg): check_multiplicative(p, WINDOW),
+        ))
+    for alg, name, cls in FAILING_MAPS:
+        p = builtin(alg)
+        checks.append((
+            {"check": "check_bilinear_class", "algebra": alg, "map": name,
+             "class": cls, "passed": False},
+            lambda p=p, phi=known_map(name, p), cls=cls: check_bilinear_class(p, phi, cls, WINDOW),
         ))
     rows = []
     for row, run in checks:
@@ -170,9 +198,10 @@ def bench_checker():
         for _ in range(REPEAT):
             report, t = _timed(run)
             seconds.append(t)
-        if not report.passed:
+        if report.passed != row["passed"]:
             raise AssertionError(f"{row}: {report}")
-        rows.append({**row, "instances": report.checked, **_spread(seconds)})
+        rows.append({**row, "instances": report.checked, "witnesses": len(report.witnesses),
+                     **_spread(seconds)})
     return rows
 
 

@@ -3,17 +3,16 @@ over a truncation window.
 
 Each check runs an instance stream of `identities`, which evaluates through
 the extension kernel of `algebra` and makes every map value, twist and
-generator bracket once per check; the map under test enters it as a
-generator rule (`_wrap_map`), called once per argument tuple for the whole
-check (`_once`).
+generator bracket once per pass; the map under test enters it as a
+generator rule (`_wrap_map`).
 
 On a presentation whose rules stay in Z[q, 1/q] (`fast_scalars`) a check
-first runs its stream at q = 2^BITS (`qfield.Packed`), where each product
-is one integer product and each zero test exact (`_check`).  When every
-instance holds there, that is the report.  The check runs in Q(q) instead
-when a map value has a denominator other than 1, and again in Q(q) when an
-instance fails, so that a report and its witnesses do not depend on the
-ring; a zero the packing cannot prove is redone at a larger b.
+runs its stream once, at q = 2^BITS (`qfield.Packed`), where each product
+is one integer product and each zero test exact (`_check`), and reads its
+witnesses back into Q(q) with `qfield.unpack`, so a report does not depend
+on the ring.  A zero or a witness the packing cannot prove is redone at a
+larger b.  The check runs in Q(q) only off Z[q, 1/q]: on presentations with
+rational constants, and when a map value has a denominator other than 1.
 """
 
 from __future__ import annotations
@@ -27,14 +26,13 @@ from .identities import (
     LINEAR_CLASSES,
     ClassModeMismatch,
     OutOfWindow,
-    _Once,
     axiom_instances,
     bilinear_instances,
     linear_instances,
     multiplicative_instances,
     skew_instances,
 )
-from .qfield import NotLaurent, PackingOverflow
+from .qfield import NotLaurent, PackingOverflow, unpack
 
 __all__ = [
     "CheckReport",
@@ -75,11 +73,16 @@ class CheckReport:
         )
 
 
-def _collect(p, stream):
+def _collect(p, stream, packed=False):
+    """The report of an instance stream; a packed stream's witnesses are
+    unpacked into Q(q)."""
     report = CheckReport()
     for name, inputs, lhs, rhs in stream:
         report.checked += 1
         if lhs != rhs:
+            if packed:
+                lhs = {g: unpack(c) for g, c in lhs.items()}
+                rhs = {g: unpack(c) for g, c in rhs.items()}
             report.witnesses.append((name, inputs, Vector(lhs), Vector(rhs)))
     report.witnesses.sort(key=lambda w: (w[0], tuple(p.gen_sort_key(g) for g in w[1])))
     return report
@@ -89,22 +92,14 @@ def _check(p, streams):
     """The report of the instances streams(bits) yields, evaluated at
     q = 2^bits or, for bits None, in Q(q).
 
-    A presentation with Laurent rules is read at q = 2^BITS first, and if
-    every instance holds there, the count is the report.  A failed
-    instance or a value off Z[q, 1/q] leaves the report to Q(q); a zero the
-    bound does not prove is redone with more bits.
+    A presentation with Laurent rules is read once, at q = 2^BITS; a zero
+    or a witness the bound does not prove is redone with more bits, and a
+    value off Z[q, 1/q] leaves the report to Q(q).
     """
     bits = BITS if p.fast_scalars else None
     while bits is not None:
-        checked = 0
         try:
-            for _, _, lhs, rhs in streams(bits):
-                if lhs != rhs:
-                    break
-                checked += 1
-            else:
-                return CheckReport(checked)
-            bits = None
+            return _collect(p, streams(bits), packed=True)
         except PackingOverflow as e:
             bits = max(2 * bits, e.bound.bit_length() + 2)
         except NotLaurent:
@@ -125,8 +120,8 @@ def check_multiplicative(p, window):
 def _wrap_map(fn, p, window):
     """A linear or bilinear map as a generator rule of the instance streams:
     its value as term dict items, or OutOfWindow when an argument lies
-    outside the window or fn has no value there.  The streams make each
-    value once per check (`EvalContext.map_values`)."""
+    outside the window or fn has no value there.  A stream makes each
+    value once (`EvalContext.map_values`)."""
     scalar = p.is_scalar
 
     def call(*args):
@@ -140,12 +135,6 @@ def _wrap_map(fn, p, window):
     return call
 
 
-def _once(call):
-    """call with each value made once, for every stream of one check."""
-    values = _Once(lambda args: tuple(call(*args)))
-    return lambda *args: values.need(args)
-
-
 def check_bilinear_class(p, phi, cls, window):
     """Both defining identities of the selected bilinear class on the window.
 
@@ -154,7 +143,7 @@ def check_bilinear_class(p, phi, cls, window):
     """
     if cls not in BILINEAR_CLASSES:
         raise ValueError(f"unknown bilinear class {cls!r}")
-    call = _once(_wrap_map(phi, p, window))
+    call = _wrap_map(phi, p, window)
     return _check(p, lambda bits: bilinear_instances(
         p, cls, window, call, phi.parity, strict=True, bits=bits
     ))
@@ -168,7 +157,7 @@ def check_linear_class(p, f, cls, window, k=1):
     """
     if cls not in LINEAR_CLASSES:
         raise ValueError(f"unknown linear class {cls!r}")
-    call = _once(_wrap_map(f, p, window))
+    call = _wrap_map(f, p, window)
     return _check(p, lambda bits: linear_instances(
         p, cls, window, call, f.parity, k=k, strict=True, bits=bits
     ))
@@ -176,5 +165,5 @@ def check_linear_class(p, f, cls, window, k=1):
 
 def check_bilinear_skew(p, phi, window):
     """Whether phi(x,y) = -(-1)^{|x||y|} phi(y,x) holds on window pairs."""
-    call = _once(_wrap_map(phi, p, window))
+    call = _wrap_map(phi, p, window)
     return _check(p, lambda bits: skew_instances(p, call, window, bits=bits))

@@ -14,12 +14,10 @@ one integer test, exact while a carried coefficient bound stays below
 generators over term dicts; the context supplies the bracket and twist
 rules and the unit coefficient in its ring.
 
-Each stream evaluates every map value, twist and generator bracket once per
-check and reuses it across instances.  The bilinear stream also makes each
-[alpha g, h], [h, alpha g], phi(g, alpha h) and phi(alpha g, h) of
-generators once, and each twisted bracket [phi(x, v), alpha w] once for the
-current x, which both of its identities read.  Values a stream yields may
-be shared with its memos, so they are read, never changed.
+Each stream evaluates every map value, twist and generator bracket once and
+reuses it across instances (`EvalContext.generator_values`, `map_values`);
+everything else an instance reads it computes from those.  Values a stream
+yields may be shared with its memos, so they are read, never changed.
 
 An instance is skipped (OutOfWindow) when it would evaluate the unknown map
 outside the window.  In strict mode, used by the checker, an instance is
@@ -90,14 +88,6 @@ class _Once(dict):
         if v is None:
             raise OutOfWindow
         return v
-
-    def first(self, g):
-        """The rule h -> the value at (g, h), as term dict items."""
-        return lambda h: self.need((g, h)).items()
-
-    def second(self, h):
-        """The rule g -> the value at (g, h), as term dict items."""
-        return lambda g: self.need((g, h)).items()
 
 
 def _packer(b):
@@ -197,63 +187,46 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, bits=None)
     phi(g1, g2) must return its value as the items of a term dict and raise
     OutOfWindow when an argument is not available.
 
-    Each value is a sum over the terms of a value already made, every term
-    times an entry of a table by generators made once per check: phi(g, h),
-    [alpha g, h], [h, alpha g], phi(g, T z) and phi(T x, h), where T is
-    alpha or the identity.  The entries are parts of values, so only whole
-    values are guarded: parts may leave the window and cancel.  For each x,
-    [phi(x, v), alpha w] is made once per (v, w) and read by both
-    identities.
+    Each instance is computed from the context's memos of alpha(g), [g, h]
+    and phi's values: its left side is phi extended over ([x, y], T z) or
+    (T x, [y, z]), where T is alpha or the identity, and each term of its
+    right side one bracket of a value of phi and a twist.  Only whole
+    values are guarded: their parts may leave the window and cancel.
     """
     check_class_mode(p, cls)
     ctx = EvalContext(p, window, strict, bits)
-    twisted = cls in ("biderivation", "super_biderivation")
     gens = p.gens_in(window)
     twist, pair = ctx.generator_values()
     values, shown = ctx.map_values(phi)
-    bracket_gens = ctx.bracket_gens
-    alpha_bracket = _Once(
-        lambda gh: extend_linear(lambda a: bracket_gens(a, gh[1]), twist.need(gh[0]))
-    )
-    bracket_alpha = _Once(
-        lambda gh: extend_linear(lambda a: bracket_gens(gh[1], a), twist.need(gh[0]))
-    )
-    if twisted:
-        phi_right = _Once(lambda gz: extend_linear(values.first(gz[0]), twist.need(gz[1])))
-        phi_left = _Once(lambda xh: extend_linear(values.second(xh[1]), twist.need(xh[0])))
+    # T z: alpha(z) in the (super) biderivation identities, z in the
+    # alpha-twisted ones
+    if cls in ("biderivation", "super_biderivation"):
+        T = twist
     else:
-        phi_right = phi_left = values
-    # for each g, h -> [alpha g, h] and h -> [h, alpha g]; for each z,
-    # g -> phi(g, T z)
-    alpha_bracket_of = {g: alpha_bracket.first(g) for g in gens}
-    bracket_alpha_of = {g: bracket_alpha.first(g) for g in gens}
-    phi_right_of = {z: phi_right.second(z) for z in gens}
+        T = {g: {g: ctx.one} for g in gens}
 
-    def over(rule, u):
-        return ctx.guard(extend_linear(rule, u))
+    def rule(g, h):
+        return values.need((g, h)).items()
 
     for x in gens:
-        ax = twist[x]
+        ax, tx = twist[x], T[x]
         neg_phix = phi_parity and x.parity
-        phi_left_x = phi_left.first(x)  # h -> phi(T x, h)
-        # [phi(x, v), alpha w] by (v, w), for this x only
-        twists = _Once(lambda vw, x=x: over(bracket_alpha_of[vw[1]], shown.need((x, vw[0]))))
         for y in gens:
             ay = twist[y]
             neg_phixy = ((phi_parity + x.parity) % 2) and y.parity
             bxy = pair[x, y]
             eq1_ready = bxy is not None and ax is not None and ay is not None
             for z in gens:
-                az = twist[z]
+                az, tz = twist[z], T[z]
                 # first identity: phi([x,y], T z) vs
                 #   (-1)^{|y||z|} [phi(x,z), a y] + (-1)^{|phi||x|} [a x, phi(y,z)]
-                if eq1_ready and (not twisted or az is not None):
+                if eq1_ready and tz is not None:
                     try:
-                        lhs = over(phi_right_of[z], bxy)
-                        t1 = twists.need((z, y))
+                        lhs = ctx.guard(extend_bilinear(rule, bxy, tz))
+                        t1 = ctx.bracket(shown.need((x, z)), ay)
                         if y.parity and z.parity:
                             t1 = m_neg(t1)
-                        t2 = over(alpha_bracket_of[x], shown.need((y, z)))
+                        t2 = ctx.bracket(ax, shown.need((y, z)))
                         if neg_phix:
                             t2 = m_neg(t2)
                         yield ("eq1", (x, y, z), lhs, m_add(t1, t2))
@@ -261,11 +234,11 @@ def bilinear_instances(p, cls, window, phi, phi_parity, strict=False, bits=None)
                         pass
                 # second identity: phi(T x, [y,z]) vs
                 #   [phi(x,y), a z] + (-1)^{(|phi|+|x|)|y|} [a y, phi(x,z)]
-                if ay is not None and az is not None and (not twisted or ax is not None):
+                if ay is not None and az is not None and tx is not None:
                     try:
-                        lhs = over(phi_left_x, pair.need((y, z)))
-                        t1 = twists.need((y, z))
-                        t2 = over(alpha_bracket_of[y], shown.need((x, z)))
+                        lhs = ctx.guard(extend_bilinear(rule, tx, pair.need((y, z))))
+                        t1 = ctx.bracket(shown.need((x, y)), az)
+                        t2 = ctx.bracket(ay, shown.need((x, z)))
                         if neg_phixy:
                             t2 = m_neg(t2)
                         yield ("eq2", (x, y, z), lhs, m_add(t1, t2))

@@ -15,7 +15,8 @@ dicts {exp: coeff}, the integer Laurent polynomials of the solver's rows:
 `primitive_part` divides several of them by their common factor, and
 `packed_int` evaluates one at q = 2^b.  `Packed` is an element of
 Z[q, 1/q] as one such integer with a coefficient bound, in which products
-and zero tests are integer operations (`pack` converts a `QRational`).
+and zero tests are integer operations; `pack` converts a `QRational` to it,
+and `unpack` reads the coefficients back from the integer's digits.
 
 The unit denominator is the single object `_P1`: every value whose
 denominator is 1 holds that object, so `__add__` and `__mul__` can test
@@ -114,10 +115,6 @@ class LaurentPoly:
     @property
     def min_exp(self):
         return min(self._t)
-
-    @property
-    def max_exp(self):
-        return max(self._t)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -754,6 +751,26 @@ def pack(x, b):
     v.w = sum(map(abs, t.values()))
     v.b = b
     return v
+
+
+def unpack(x):
+    """The `QRational` a `Packed` value stands for: the base-2^b digits of N,
+    each taken in (-2^(b-1), 2^(b-1)], are its coefficients, exactly while
+    its bound is below 2^(b-1); `PackingOverflow` otherwise."""
+    b, n, e = x.b, x.n, x.e
+    if x.w >> (b - 1):
+        raise PackingOverflow(x.w)
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    t = {}
+    while n:
+        c = n & mask
+        if c > half:
+            c -= 1 << b
+        if c:
+            t[e] = c
+        n = (n - c) >> b
+        e += 1
+    return QRational._trusted(LaurentPoly._raw(t), _P1)
 
 
 def specialize(x, q0):

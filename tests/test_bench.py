@@ -35,8 +35,28 @@ def test_bench_times_the_spaces_that_reproduce_paper_scans(bench):
 def test_bench_checks_every_named_map_and_builtin(bench):
     rows = bench.bench_checker()
     assert {row["check"] for row in rows} == {
-        "check_bilinear_class", "check_linear_class", "check_axioms"}
+        "check_bilinear_class", "check_linear_class", "check_axioms", "check_multiplicative"}
     assert all(row["instances"] > 0 for row in rows)
+    assert all((row["witnesses"] == 0) == row["passed"] for row in rows)
+
+
+def test_bench_times_failing_checks(bench):
+    rows = bench.bench_checker()
+    failing = {(row["check"], row["algebra"], row.get("map"))
+               for row in rows if not row["passed"]}
+    assert failing == {
+        *(("check_multiplicative", alg, None) for alg in ("w22q", "wittq", "wittsuperq")),
+        ("check_bilinear_class", "w22q", "phi_0"),
+        ("check_bilinear_class", "wittsuperq", "phi_minus1"),
+    }
+    assert {row["algebra"] for row in rows if row["check"] == "check_multiplicative"} == set(
+        BUILTIN_NAMES)
+
+
+def test_bench_stops_on_a_wrong_verdict(bench, monkeypatch):
+    monkeypatch.setattr(bench, "NOT_MULTIPLICATIVE", ("w22q", "wittq", "wittsuperq", "example49"))
+    with pytest.raises(AssertionError, match="example49"):
+        bench.bench_checker()
 
 
 def test_bench_checks_every_commuting_map(bench):

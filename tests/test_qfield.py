@@ -186,6 +186,25 @@ def test_packed_arithmetic_is_evaluation_at_a_power_of_two(a, b, c, bits):
         assert e.bound >= 2 ** (bits - 1)
 
 
+@given(laurents(), laurents(), laurents(), st.sampled_from([3, 4, 8, 32]))
+@settings(max_examples=150, deadline=None)
+def test_unpack_reads_back_what_was_packed(a, b, c, bits):
+    # below the bound the digits are the coefficients; at or past it,
+    # unpack raises rather than answer
+    packs = [qfield.pack(QRational(x), bits) for x in (a, b, c)]
+    for x, packed in zip((a, b, c), packs):
+        if packed.w < 2 ** (bits - 1):
+            assert qfield.unpack(packed) == QRational(x)
+        else:
+            with pytest.raises(qfield.PackingOverflow):
+                qfield.unpack(packed)
+    pa, pb, pc = packs
+    try:
+        assert qfield.unpack(pa * pb + pc) == QRational(a * b + c)
+    except qfield.PackingOverflow as e:
+        assert e.bound >= 2 ** (bits - 1)
+
+
 def test_pack_refuses_a_denominator():
     with pytest.raises(qfield.NotLaurent):
         qfield.pack(QRational(Fraction(1, 3)), 32)

@@ -1407,15 +1407,18 @@ def test_scalar_presentation_solve(example49):
 
 # -- classical (q-free) algebras ---------------------------------------------------
 
-# stable biderivation dims at s = -1, 0, 1 on SMALL, and the PAPER.md keys
-# they stand for: the Witt algebra's biderivations are inner
+# stable biderivation dims on SMALL at each s in Q_FREE_DEGREES, the number
+# of basis maps at each s that are not skew, and the PAPER.md keys they
+# stand for: the Witt algebra's biderivations are inner
 # (\cite{Chen2016,wang2013,HWX}); those of W(2,2) are not all inner, but all
 # skew-symmetric in the sense of \cite{B4}; the twisted Heisenberg-Virasoro
-# algebra has biderivations that are not skew (\cite{Tang-Li2018})
+# algebra has biderivations that are not skew (\cite{Tang-Li2018}), one
+# basis map at every degree
+Q_FREE_DEGREES = range(-4, 5)
 Q_FREE_DIMS = {
-    "witt": ((0, 1, 0), "Chen2016,wang2013,HWX"),
-    "w22": ((0, 2, 0), "B4"),
-    "hv": ((1, 2, 1), "Tang-Li2018"),
+    "witt": ((0, 0, 0, 0, 1, 0, 0, 0, 0), (0,) * 9, "Chen2016,wang2013,HWX"),
+    "w22": ((0, 0, 0, 0, 2, 0, 0, 0, 0), (0,) * 9, "B4"),
+    "hv": ((1, 1, 1, 1, 2, 1, 1, 1, 1), (1,) * 9, "Tang-Li2018"),
 }
 
 
@@ -1425,8 +1428,8 @@ def _q_free_space(alg, s):
 
 @pytest.mark.parametrize("alg", Q_FREE_DIMS)
 def test_q_free_biderivation_dims(alg):
-    dims, key = Q_FREE_DIMS[alg]
-    assert tuple(_q_free_space(alg, s).dim for s in (-1, 0, 1)) == dims, key
+    dims, _, key = Q_FREE_DIMS[alg]
+    assert tuple(_q_free_space(alg, s).dim for s in Q_FREE_DEGREES) == dims, key
 
 
 @pytest.mark.parametrize("alg,knowns,residual", [
@@ -1458,14 +1461,14 @@ def test_q_free_named_map_of_another_degree_is_no_dependence(tmp_path, capsys):
 
 
 def test_q_free_skew_split():
-    # W(2,2)'s biderivations are skew; hv has one non-skew basis map at
-    # s = 0, and at s = -1 and 1 every basis map is non-skew
-    for alg, s, failing in (("witt", 0, 0), ("w22", 0, 0), ("hv", 0, 1), ("hv", -1, 1),
-                            ("hv", 1, 1)):
-        space = _q_free_space(alg, s)
-        p = space.ansatz.p
-        verdicts = [check_bilinear_skew(p, phi, SMALL).passed for phi in space.maps()]
-        assert verdicts.count(False) == failing, (alg, s)
+    # the non-skew basis maps of Q_FREE_DIMS; on hv the failing skew checks
+    # report witnesses unpacked from the packed pass
+    for alg, (_, nonskew, _) in Q_FREE_DIMS.items():
+        for s, failing in zip(Q_FREE_DEGREES, nonskew):
+            space = _q_free_space(alg, s)
+            p = space.ansatz.p
+            verdicts = [check_bilinear_skew(p, phi, SMALL).passed for phi in space.maps()]
+            assert verdicts.count(False) == failing, (alg, s)
 
 
 # -- row and vector normalization ---------------------------------------------------
