@@ -10,13 +10,15 @@ integer Laurent polynomials; any other, rational constants included, gives
 Q(q) rows whose denominators are cleared; `_rules` gives the constants in
 each ring, once per presentation.  `build_system` keeps each row as these
 integer Laurent entries, {col: {exp: coeff}}, as they are generated.
-The system is solved exactly: rows are reduced by fraction-free elimination,
-each row divided by the common factor of its entries (`qfield.primitive_part`,
-whose gcd over Q[q] keeps the entries' degrees down), and the nullspace basis
-is produced by back-substitution.  Every basis the solver returns is then
-brought to one form, the reduced echelon form over slot order
-(`_canonical_basis`), so it depends only on the space: not on the row order,
-the pivots or the rows that were eliminated.
+The system is solved exactly by one loop in the shape of the F_p rank pass
+(`_eliminate`): the rows, shortest first, are reduced one at a time by
+fraction-free elimination onto pivot rows, each pivoting on its largest
+column; each reduced row is divided by the common factor of its entries
+(`qfield.primitive_part`, whose gcd over Q[q] keeps the entries' degrees
+down), and the nullspace basis is produced by back-substitution.  Every
+basis the solver returns is then brought to one form, the reduced echelon
+form over slot order (`_canonical_basis`), so it depends only on the space:
+not on the row order, the pivots or the rows that were eliminated.
 
 Most identity instances have a mirror: the instance with two inputs
 swapped, whose rows are the instance's times a sign, so that they add
@@ -58,8 +60,6 @@ that dimension, and the window system is not solved.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -751,17 +751,6 @@ def _introw_of(values):
     return entries
 
 
-def _normalize_row(entries):
-    """The `primitive_part` of a row: its polynomial, monomial and integer
-    content removed and the lowest coefficient of its first column made
-    positive."""
-    if len(entries) == 1:
-        # a single nonzero coefficient forces its unknown to vanish
-        (j,) = entries
-        return {j: {0: 1}}
-    return primitive_part(entries)
-
-
 def _combine(piv, row, c, prow, skipcol):
     """piv*row - c*prow with the pivot column removed."""
     out = {}
@@ -788,105 +777,42 @@ def _combine(piv, row, c, prow, skipcol):
 
 
 def _eliminate(rows):
-    """Sparse fraction-free elimination.
+    """Fraction-free elimination (Bareiss 1968) over Z[q, 1/q], one row at a
+    time, in the shape of `_reduce_mod_p`.
 
-    rows: list of integer Laurent rows (dict col -> dict exp -> int); the
-    row dicts are taken over and changed in place, their term dicts only
-    read.  Each row that outlives the zero cascade is normalized by
-    `_normalize_row`.
-    Returns (pivots, zeros): pivots in elimination order as (col, row) with
-    the row frozen at selection time; zeros are columns forced to vanish by
-    single-entry rows.
+    rows: integer Laurent rows {col: {exp: coeff}}, shortest first for
+    speed; they and their term dicts are only read.  Each row, without the
+    columns found zero, is reduced by `_combine` on the earliest-made pivot
+    column it holds, made primitive (`qfield.primitive_part`) and stripped
+    of zero columns again, until it holds no pivot column.  A pivot row
+    holds only columns that were not pivots when it was made, so each pivot
+    column is eliminated at most once per row.  What is left is dropped when
+    empty, adds its column to the zeros when it has one entry, and otherwise
+    becomes a pivot row on its largest column.
+    Returns (pivots, zeros): pivots in the order made as (col, row), each
+    row holding its pivot column; zeros are the columns forced to vanish.
     """
-    active = dict(enumerate(rows))
-    colindex = {}
-    for i, r in active.items():
-        for j in r:
-            colindex.setdefault(j, set()).add(i)
-    zeros = set()
     pivots = []
-    queue = deque(i for i in sorted(active) if len(active[i]) == 1)
-
-    def kill_zero(col):
-        zeros.add(col)
-        for i in list(colindex.get(col, ())):
-            r = active.get(i)
-            if r is None:
-                continue
-            r.pop(col, None)
-            if not r:
-                del active[i]
-            elif len(r) == 1:
-                queue.append(i)
-        colindex.pop(col, None)
-
-    def drain_singletons():
-        while queue:
-            i = queue.popleft()
-            r = active.get(i)
-            if r is None or len(r) != 1:
-                continue
-            col = next(iter(r))
-            del active[i]
-            colindex.get(col, set()).discard(i)
-            if col not in zeros:
-                kill_zero(col)
-
-    # most unknowns die by the zero cascade; strip the survivors only
-    drain_singletons()
-    heap = []
-    for i in sorted(active):
-        r = _normalize_row(active[i])
-        active[i] = r
-        for j, pol in r.items():
-            heapq.heappush(heap, (len(pol), max(pol) - min(pol), i, j))
-
-    while True:
-        drain_singletons()
-        if not active:
-            break
-        # smallest remaining coefficient becomes the pivot; each active row
-        # has two or more entries here, and each has a current heap entry
+    made = {}  # pivot col -> its position in `pivots`
+    zeros = set()
+    for row in rows:
+        row = {j: pol for j, pol in row.items() if j not in zeros}
         while True:
-            nt, span, pi, pj = heapq.heappop(heap)
-            r = active.get(pi)
-            if r is None:
-                continue
-            pol = r.get(pj)
-            if pol is not None and len(pol) == nt and max(pol) - min(pol) == span:
+            k = min((made[j] for j in row if j in made), default=None)
+            if k is None:
                 break
-        prow = active.pop(pi)
-        for jj in prow:
-            s = colindex.get(jj)
-            if s is not None:
-                s.discard(pi)
-        piv = prow[pj]
-        touched = colindex.pop(pj, set())
-        for i in list(touched):
-            r = active.get(i)
-            if r is None:
-                continue
-            c = r.pop(pj, None)
-            if c is None:
-                continue
-            new = _combine(piv, r, c, prow, pj)
-            for jj in r:
-                if jj != pj and jj not in new:
-                    colindex.get(jj, set()).discard(i)
-            if not new:
-                del active[i]
-                continue
-            new = _normalize_row(new)
-            for jj in new:
-                if jj not in r:
-                    colindex.setdefault(jj, set()).add(i)
-            active[i] = new
-            if len(new) == 1:
-                queue.append(i)
-            else:
-                for jj, pol in new.items():
-                    heapq.heappush(heap, (len(pol), max(pol) - min(pol), i, jj))
-        pivots.append((pj, prow))
+            col, prow = pivots[k]
+            row = _combine(prow[col], row, row[col], prow, col)
+            for j in zeros.intersection(row):
+                del row[j]
+            if row:
+                row = primitive_part(row)
+        if len(row) == 1:
+            zeros.update(row)
+        elif row:
+            col = max(row)
+            made[col] = len(pivots)
+            pivots.append((col, row))
     return pivots, zeros
 
 
@@ -977,7 +903,7 @@ def nullspace(sys):
     else:
         taken = _independent_mod_p(images, len(sys.ansatz.slots), MOD_PRIME)
         chosen = {order[k] for k in taken}
-        space = _solve_rows(sys, [rows[i] for i in sorted(chosen)])
+        space = _solve_rows(sys, [rows[order[k]] for k in taken])
         rest = (row for i, row in enumerate(rows) if i not in chosen)
         if _satisfies_all(rest, space.id_vectors()):
             return space
@@ -986,11 +912,10 @@ def nullspace(sys):
 
 def _solve_rows(sys, rows):
     """Basis of the space cut out by `rows`, rows of `sys` as mappings
-    {col: {exp: coeff}}."""
+    {col: {exp: coeff}}: `_eliminate` reads them shortest first, and the
+    basis is back-substituted through its pivot rows, last made first."""
     ansatz = sys.ansatz
-    # `_eliminate` pops entries from its row dicts, so it gets copies of
-    # them; it changes no term dict, and those stay shared
-    pivots, zeros = _eliminate([dict(row) for row in rows])
+    pivots, zeros = _eliminate(sorted(rows, key=len))
     ncols = len(ansatz.slots)
     determined = {c for c, _ in pivots} | zeros
     free = [j for j in range(ncols) if j not in determined]

@@ -1309,6 +1309,55 @@ def test_bases_are_in_reduced_echelon_form(alg, cls, parity, s):
     )
 
 
+@pytest.mark.parametrize("alg,cls,parity,s", [
+    *[(alg, cls, parity, s)
+      for alg, cls, parity in BILINEAR_DIM_CASES + LINEAR_DIM_CASES for s in (-2, 0, 1)],
+    *[(alg, cls, 0, 0)
+      for alg in ("thirds", "hv")
+      for cls in ("biderivation", "alpha_biderivation", "commuting_map")],
+])
+def test_elimination_pivots_on_largest_columns(monkeypatch, alg, cls, parity, s):
+    # on the selected rows and on all rows: `_eliminate` reads them shortest
+    # first; each pivot row pivots on its largest column and holds no column
+    # pivoted on before it; no zero column is a pivot; and back-substitution
+    # through such rows already gives the reduced echelon form, up to scale
+    p = _presentation(alg)
+    a = build_ansatz(p, _kind(cls), cls, s=s, parity=parity, window=SMALL)
+    sys = build_system(p, a)
+    calls = []
+    eliminate = solver._eliminate
+    canonical = solver._canonical_basis
+
+    def spy_eliminate(rows):
+        out = eliminate(rows)
+        calls.append((rows, *out))
+        return out
+
+    def spy_canonical(ansatz, idvecs):
+        out = canonical(ansatz, idvecs)
+        calls[-1] += (idvecs, out)
+        return out
+
+    monkeypatch.setattr(solver, "_eliminate", spy_eliminate)
+    monkeypatch.setattr(solver, "_canonical_basis", spy_canonical)
+    nullspace(sys)
+    _full_elimination(sys)
+    assert len(calls) == 2
+    slots = a.slots
+    for rows, pivots, zeros, idvecs, basis in calls:
+        lengths = list(map(len, rows))
+        assert lengths == sorted(lengths)
+        made = set()
+        for col, prow in pivots:
+            assert len(prow) > 1 and col == max(prow)
+            assert made.isdisjoint(prow)
+            made.add(col)
+        assert made.isdisjoint(zeros)
+        assert [
+            solver._vec_canonical(a, {slots[j]: v for j, v in vec.items()}) for vec in idvecs
+        ] == basis
+
+
 def test_equal_solves_compare_equal(wittq):
     a = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
     b = stable_solve(wittq, "bilinear", "biderivation", s=0, window=SMALL, delta=2)
@@ -1482,14 +1531,12 @@ def test_normalize_row_strips_a_planted_factor():
     expected = {0: {1: 1, 2: 2}, 1: {1: 3, 2: -1, 4: 1}, 2: {0: 2, 2: 1}}
     for row in (planted, plain):
         assert qfield.primitive_part(row) == expected
-        assert solver._normalize_row(row) == expected
 
 
 def test_normalize_row_keeps_coprime_entries_with_common_values():
     # q + 1 and q^2 + 5 are coprime, but their values share 3 at q = 2 and 2 at q = 3
     row = {0: {0: 1, 1: 1}, 1: {0: 5, 2: 1}}
     assert qfield.primitive_part(row) == row
-    assert solver._normalize_row(row) == row
 
 
 @pytest.mark.parametrize("num,den", [
